@@ -13,7 +13,6 @@ from .sir import (
     spread_phase,
 )
 from .codec import (
-    Group,
     GroupDecode,
     RoundOutcome,
     TestMatrix,
@@ -21,7 +20,6 @@ from .codec import (
     assemble_matrix,
     build_saffron_submatrix,
     code_width,
-    decode_group,
     decode_round,
     evaluate_tests,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "POLICY_INDIVIDUAL",
     "POLICY_SAFFRON_HYBRID",
     "ConfigError",
-    "Group",
     "GroupDecode",
     "PolicyContext",
     "PopulationState",
@@ -60,7 +57,6 @@ __all__ = [
     "assemble_matrix",
     "build_saffron_submatrix",
     "code_width",
-    "decode_group",
     "decode_round",
     "empirical_epsilon_time",
     "epsilon_control_time",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +27,11 @@ class OutputSpec:
     def validate(self) -> None:
         if not self.csv_path and not self.svg_path:
             raise ConfigError("no output requested: pass --csv and/or --svg")
+        for flag, path in (("--csv", self.csv_path), ("--svg", self.svg_path)):
+            if path:
+                problem = _unwritable(path)
+                if problem:
+                    raise ConfigError(f"cannot write {flag} {path}: {problem}")
 
     def write(self, stats: TrajectoryStats) -> None:
         if self.csv_path:
@@ -49,6 +55,36 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _unwritable(path: str) -> str | None:
+    """Why a file cannot be written at path, or None if it looks writable."""
+    if os.path.isdir(path):
+        return "it is a directory"
+    directory = os.path.dirname(os.path.realpath(path))
+    if not os.path.isdir(directory):
+        return f"directory {directory} does not exist"
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return f"directory {directory} is not writable"
+    return None
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then move it over path.
+
+    Readers see either the old file (or none) or the complete new one; the
+    temporary file is removed if anything fails before the move.
+    """
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_csv(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
     """One row per step; theory_lambda cells stay empty unless requested."""
     lines = [CSV_HEADER]
@@ -61,8 +97,7 @@ def write_csv(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
             _fmt(stats.mean_isolated[t]),
             theory_cell,
         ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str) -> dict[str, np.ndarray]:
@@ -141,8 +176,7 @@ def write_svg(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
                      f'{name}</text>')
         legend_y += 18
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,11 +1,14 @@
 """Binary-code pooled test matrices: construction, evaluation, decoding.
 
-A pooled group of size eta occupies a block of 2*ceil(log2(eta)) test rows.
-The top half of the block writes each member's within-group index in binary,
-most significant bit in the lowest-numbered row; the bottom half is the
-bitwise complement of the top half. Under noiseless OR-tests the block
-recovers the member exactly when the group contains a single infection, and
-otherwise reveals whether the group holds zero or several infections.
+A round's pooled groups all have one size eta and are held as a (g, eta)
+member array. Each group occupies a block of 2*ceil(log2(eta)) test rows:
+the top half writes each member's within-group index in binary, most
+significant bit in the lowest-numbered row, and the bottom half is the
+bitwise complement of the top half. Group k's block takes rows
+[k*2b, (k+1)*2b), and one singleton test row per individual follows the
+g*2b group rows. Under noiseless OR-tests a block recovers the member
+exactly when its group contains a single infection, and otherwise reveals
+whether the group holds zero or several infections.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ def code_width(eta: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _code_block(eta: int) -> np.ndarray:
+def build_saffron_submatrix(eta: int) -> np.ndarray:
+    """Return the 2*ceil(log2(eta)) x eta test block for a pooled group of size eta.
+
+    Column i encodes i in binary in the top half, complemented in the bottom
+    half. The returned array is a shared read-only block; copy before
+    mutating.
+    """
+    if eta < 2:
+        raise ValueError(f"a pooled group needs at least 2 members, got {eta}")
     b = code_width(eta)
     idx = np.arange(eta)
     shifts = np.arange(b - 1, -1, -1)  # MSB goes into row 0
@@ -35,82 +46,37 @@ def _code_block(eta: int) -> np.ndarray:
     return block
 
 
-def build_saffron_submatrix(members) -> np.ndarray:
-    """Return the 2*ceil(log2(eta)) x eta test block for one pooled group.
-
-    Column i encodes i in binary in the top half, complemented in the bottom
-    half. The returned array is a shared read-only block; copy before
-    mutating.
-    """
-    eta = len(members)
-    if eta < 2:
-        raise ValueError(f"a pooled group needs at least 2 members, got {eta}")
-    return _code_block(eta)
-
-
-@dataclass(frozen=True)
-class Group:
-    """One pooled group and the rows its code block occupies."""
-
-    members: np.ndarray  # individual indices; position within defines the codeword
-    row_start: int
-
-    @property
-    def row_stop(self) -> int:
-        return self.row_start + 2 * code_width(len(self.members))
-
-
 class TestMatrix:
-    """Binary pooling matrix (rows x n) with the metadata needed to decode it.
+    """Binary pooling matrix (rows x n), kept in structured form.
 
-    Rows are laid out as consecutive group code blocks followed by singleton
-    (one individual per row) tests. The dense 0/1 matrix is materialized
-    lazily; planners and the evaluator work from the structure directly.
+    ``groups`` is a (g, eta) int64 array, shape (0, 0) when the round pools
+    nothing; a member's position within its row is its codeword.
+    ``single_members`` lists the individuals tested alone, one row each,
+    after the ``group_rows`` rows of group code blocks.
     """
 
-    def __init__(self, n: int, groups: list[Group], single_rows: np.ndarray,
-                 single_members: np.ndarray, rows: int):
+    def __init__(self, n: int, groups: np.ndarray, single_members: np.ndarray):
         self.n = n
         self.groups = groups
-        self.single_rows = single_rows
         self.single_members = single_members
-        self.rows = rows
-        self._entries = None
-
-    @property
-    def cols(self) -> int:
-        return self.n
-
-    @property
-    def individual_rows(self) -> list[tuple[int, int]]:
-        """(row, individual) pairs for the singleton tests."""
-        return list(zip(self.single_rows.tolist(), self.single_members.tolist()))
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense boolean matrix; entry (i, j) says test i pools individual j."""
-        if self._entries is None:
-            dense = np.zeros((self.rows, self.n), dtype=bool)
-            for grp in self.groups:
-                dense[grp.row_start:grp.row_stop, grp.members] = _code_block(len(grp.members))
-            dense[self.single_rows, self.single_members] = True
-            self._entries = dense
-        return self._entries
+        g, eta = groups.shape
+        self.group_rows = g * 2 * code_width(eta)
+        self.rows = self.group_rows + single_members.size
 
 
-def assemble_matrix(n: int, group_members, singles) -> TestMatrix:
-    """Lay out group blocks then singleton rows into one TestMatrix."""
-    groups = []
-    row = 0
-    for members in group_members:
-        members = np.asarray(members, dtype=np.int64)
-        groups.append(Group(members=members, row_start=row))
-        row += 2 * code_width(members.size)
-    singles = np.asarray(singles, dtype=np.int64)
-    single_rows = np.arange(row, row + singles.size)
-    row += singles.size
-    return TestMatrix(n=n, groups=groups, single_rows=single_rows,
-                      single_members=singles, rows=row)
+def assemble_matrix(n: int, groups, singles) -> TestMatrix:
+    """Lay out equal-size group blocks, then singleton rows, into one TestMatrix.
+
+    ``groups`` is a (g, eta) array or a sequence of g member sequences of
+    one length eta >= 2; ragged or smaller groups raise ValueError.
+    """
+    if len(groups) == 0:
+        members = np.empty((0, 0), dtype=np.int64)
+    else:
+        members = np.asarray(groups, dtype=np.int64)  # numpy rejects ragged groups
+        if members.ndim != 2 or members.shape[1] < 2:
+            raise ValueError(f"expected g groups of one size eta >= 2, got shape {members.shape}")
+    return TestMatrix(n=n, groups=members, single_members=np.asarray(singles, dtype=np.int64))
 
 
 class Verdict(Enum):
@@ -125,6 +91,10 @@ class GroupDecode:
 
     verdict: Verdict
     member: int | None = None
+
+
+_ALL_NEGATIVE = GroupDecode(Verdict.ALL_NEGATIVE)
+_MULTIPLE = GroupDecode(Verdict.MULTIPLE)
 
 
 @dataclass
@@ -144,51 +114,39 @@ def evaluate_tests(matrix: TestMatrix, state: PopulationState) -> np.ndarray:
     if matrix.n != state.n:
         raise ValueError(f"matrix is for n={matrix.n}, state has n={state.n}")
     infected = state.statuses == Status.INFECTED
-    results = np.zeros(matrix.rows, dtype=bool)
-    for grp in matrix.groups:
-        hit = infected[grp.members]
-        if hit.any():
-            block = _code_block(len(grp.members))
-            results[grp.row_start:grp.row_stop] = block[:, hit].any(axis=1)
-    results[matrix.single_rows] = infected[matrix.single_members]
-    return results
-
-
-def decode_group(results, members) -> GroupDecode:
-    """Decode one group's result slice into all-negative / single / multiple.
-
-    A single infection lights exactly code_width(eta) tests whose top half
-    spells the member's index and whose bottom half is the complement;
-    anything else with at least one positive means several infections.
-    """
-    members = np.asarray(members)
-    eta = members.size
-    b = code_width(eta)
-    results = np.asarray(results, dtype=bool)
-    if results.size != 2 * b:
-        raise ValueError(f"expected {2 * b} results for a group of {eta}, got {results.size}")
-    positives = int(results.sum())
-    if positives == 0:
-        return GroupDecode(Verdict.ALL_NEGATIVE)
-    if positives == b:
-        top, bottom = results[:b], results[b:]
-        if np.array_equal(bottom, ~top):
-            index = int(top @ (1 << np.arange(b - 1, -1, -1)))
-            if index < eta:
-                return GroupDecode(Verdict.SINGLE, int(members[index]))
-    return GroupDecode(Verdict.MULTIPLE)
+    singles = infected[matrix.single_members]
+    if not matrix.group_rows:
+        return singles
+    hit = infected[matrix.groups]
+    pooled = hit @ build_saffron_submatrix(hit.shape[1]).T
+    return np.concatenate([pooled.ravel(), singles])
 
 
 def decode_round(matrix: TestMatrix, results: np.ndarray) -> RoundOutcome:
-    """Decode every group block and singleton row of one round's results."""
+    """Decode every group block and singleton row of one round's results.
+
+    A group with no positive row is all-negative. A single infection lights
+    a top half that spells its index, below eta, and a bottom half that is
+    the complement; any other positive pattern means several infections.
+    """
+    results = np.asarray(results, dtype=bool)
+    if results.shape != (matrix.rows,):
+        raise ValueError(f"expected {matrix.rows} results, got shape {results.shape}")
+    split = matrix.group_rows
     decoded = []
-    found = []
-    for grp in matrix.groups:
-        verdict = decode_group(results[grp.row_start:grp.row_stop], grp.members)
-        decoded.append(verdict)
-        if verdict.verdict is Verdict.SINGLE:
-            found.append(verdict.member)
-    positive_singles = matrix.single_members[results[matrix.single_rows]]
-    identified = np.unique(np.concatenate(
-        [np.asarray(found, dtype=np.int64), positive_singles]))
+    found = np.empty(0, dtype=np.int64)
+    if split:
+        g, eta = matrix.groups.shape
+        b = code_width(eta)
+        blocks = results[:split].reshape(g, 2 * b)
+        top = blocks[:, :b]
+        index = top @ (1 << np.arange(b - 1, -1, -1))
+        single = (top != blocks[:, b:]).all(axis=1) & (index < eta)
+        found = matrix.groups[single, index[single]]
+        decoded = [_MULTIPLE if positive else _ALL_NEGATIVE
+                   for positive in blocks.any(axis=1).tolist()]
+        for k, member in zip(np.flatnonzero(single).tolist(), found.tolist()):
+            decoded[k] = GroupDecode(Verdict.SINGLE, member)
+    positive_singles = matrix.single_members[results[split:]]
+    identified = np.unique(np.concatenate([found, positive_singles]))
     return RoundOutcome(results=results, decoded=decoded, identified=identified)

@@ -63,7 +63,6 @@ def run_trial(cfg: SimConfig, rng: np.random.Generator, curve: TheoryCurve) -> n
             counts[:, t:] = counts[:, t - 1:t]
             break
         spread_phase(state, cfg.q, rng)
-        state.t = t
         expected = curve.pre_test_infected[t] if hybrid else None
         run_round(state, cfg.policy, cfg.capacity, rng, expected)
         counts[:, t] = (state.susceptible, state.infected, state.isolated)

@@ -28,7 +28,6 @@ class PolicyContext:
     never observes true infection statuses directly.
     """
 
-    t: int
     n: int
     capacity: int
     isolated: int = 0
@@ -65,8 +64,7 @@ def plan_saffron_hybrid(ctx: PolicyContext, non_isolated,
     n_groups = min(ctx.capacity // rows_per_group, pool.size // eta)
     if n_groups == 0:
         return plan_individual(ctx, rng)
-    drawn = rng.choice(pool, size=n_groups * eta, replace=False)
-    groups = [drawn[i * eta:(i + 1) * eta] for i in range(n_groups)]
+    groups = rng.choice(pool, size=n_groups * eta, replace=False).reshape(n_groups, eta)
     leftover = ctx.capacity - n_groups * rows_per_group
     singles = rng.choice(ctx.n, size=leftover, replace=False) if leftover else []
     return assemble_matrix(ctx.n, groups, singles)
@@ -81,7 +79,7 @@ def run_round(state: PopulationState, policy: str, capacity: int,
     uses only this round's results; identified individuals are isolated
     before the function returns.
     """
-    ctx = PolicyContext(t=state.t, n=state.n, capacity=capacity, isolated=state.isolated,
+    ctx = PolicyContext(n=state.n, capacity=capacity, isolated=state.isolated,
                         expected_infected=0.0 if expected_infected is None else expected_infected)
     if policy == POLICY_INDIVIDUAL:
         matrix = plan_individual(ctx, rng)

@@ -43,7 +43,7 @@ class SimConfig:
     q:        per (infected, susceptible) pair transmission probability per step
     horizon:  number of simulated time steps per trial
     trials:   number of Monte Carlo repetitions
-    seed:     base RNG seed; per-trial streams are derived from (seed, trial)
+    seed:     base RNG seed (>= 0); per-trial streams are derived from (seed, trial)
     policy:   "individual" or "saffron-hybrid" test planning
     epsilon:  infected-count threshold used when reporting control times
     """
@@ -59,6 +59,10 @@ class SimConfig:
     epsilon: float = 1.0
 
     def validate(self) -> None:
+        for name in ("n", "capacity", "horizon", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"population size must be >= 1, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
@@ -73,6 +77,8 @@ class SimConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
         if not self.epsilon > 0.0:
@@ -88,7 +94,6 @@ class PopulationState:
     """
 
     statuses: np.ndarray  # int8 vector of Status values, length n
-    t: int = 0
     susceptible: int = 0
     infected: int = 0
     isolated: int = 0
@@ -111,7 +116,7 @@ def init_population(cfg: SimConfig, rng: np.random.Generator) -> PopulationState
     infected = rng.random(cfg.n) < cfg.p
     statuses = np.where(infected, np.int8(Status.INFECTED), np.int8(Status.SUSCEPTIBLE))
     k = int(infected.sum())
-    return PopulationState(statuses=statuses, t=0, susceptible=cfg.n - k, infected=k, isolated=0)
+    return PopulationState(statuses=statuses, susceptible=cfg.n - k, infected=k, isolated=0)
 
 
 def spread_phase(state: PopulationState, q: float, rng: np.random.Generator) -> PopulationState:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import code_width
 from .sir import POLICY_INDIVIDUAL, POLICY_SAFFRON_HYBRID, SimConfig
 
 
@@ -141,7 +142,7 @@ def saffron_group_size(pool: float, expected_infected: float, capacity: int) -> 
     if eta < 2:
         return None
     eta = min(eta, int(pool))
-    if capacity < 2 * max(1, (eta - 1).bit_length()):
+    if capacity < 2 * code_width(eta):
         return None
     return eta
 

@@ -30,8 +30,7 @@ from sirpool import (
     Status,
     TheoryParams,
     Verdict,
-    build_saffron_submatrix,
-    decode_group,
+    assemble_matrix,
     decode_round,
     empirical_epsilon_time,
     epsilon_control_time,
@@ -121,7 +120,7 @@ def test_c3_pooled_detection_rate():
     statuses[rng.choice(n, size=frozen, replace=False)] = Status.INFECTED
     state = PopulationState(statuses=statuses, susceptible=n - frozen,
                             infected=frozen, isolated=0)
-    ctx = PolicyContext(t=1, n=n, capacity=capacity, isolated=0,
+    ctx = PolicyContext(n=n, capacity=capacity, isolated=0,
                         expected_infected=float(frozen))
     pool = np.arange(n)
     formula_groups = (capacity / 2.0) / math.log2(5.0)
@@ -142,31 +141,30 @@ def test_c3_pooled_detection_rate():
            f"{abs(mean - target) / se:.2f} SE over {rounds} rounds")
 
 
-def _group_results(eta, infected_positions):
-    block = build_saffron_submatrix(range(eta))
-    hit = np.zeros(eta, dtype=bool)
-    hit[list(infected_positions)] = True
-    return (block & hit).any(axis=1)
+def _decode_one_group(eta, infected_positions):
+    matrix = assemble_matrix(eta, [range(eta)], [])
+    infected = np.zeros(eta, dtype=np.int8)
+    infected[list(infected_positions)] = Status.INFECTED
+    k = len(infected_positions)
+    state = PopulationState(statuses=infected, susceptible=eta - k, infected=k)
+    return decode_round(matrix, evaluate_tests(matrix, state)).decoded[0]
 
 
 def test_c4_codec_exhaustive():
     rng = np.random.default_rng(SEED)
     checked = 0
     for eta in range(2, 17):
-        members = list(range(eta))
-        assert decode_group(_group_results(eta, []), members).verdict \
-            is Verdict.ALL_NEGATIVE
+        assert _decode_one_group(eta, []).verdict is Verdict.ALL_NEGATIVE
         for pos in range(eta):
-            verdict = decode_group(_group_results(eta, [pos]), members)
+            verdict = _decode_one_group(eta, [pos])
             assert verdict.verdict is Verdict.SINGLE and verdict.member == pos
         for pair in itertools.combinations(range(eta), 2):
-            assert decode_group(_group_results(eta, pair), members).verdict \
-                is Verdict.MULTIPLE
+            assert _decode_one_group(eta, pair).verdict is Verdict.MULTIPLE
         if eta >= 3:
             for _ in range(1000):
                 k = int(rng.integers(3, eta + 1))
                 chosen = rng.choice(eta, size=k, replace=False)
-                verdict = decode_group(_group_results(eta, chosen), members)
+                verdict = _decode_one_group(eta, chosen)
                 assert verdict.verdict is not Verdict.ALL_NEGATIVE
                 assert not (verdict.verdict is Verdict.SINGLE
                             and verdict.member not in chosen)
@@ -198,7 +196,6 @@ def test_c5_invariant_suite():
         prev_susceptible, prev_isolated = state.susceptible, state.isolated
         for t in range(1, cfg.horizon + 1):
             spread_phase(state, cfg.q, trial_rng)
-            state.t = t
             expected = curve.pre_test_infected[t] if cfg.policy == "saffron-hybrid" else None
             run_round(state, cfg.policy, cfg.capacity, trial_rng, expected)
             assert state.susceptible + state.infected + state.isolated == n

@@ -1,8 +1,10 @@
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from sirpool import cli
 from sirpool.cli import CSV_HEADER, OutputSpec, main, read_csv, write_csv
 from sirpool.harness import run_experiment
 from sirpool.sir import ConfigError, SimConfig
@@ -16,6 +18,11 @@ class TestOutputSpec:
     def test_single_target_is_enough(self):
         OutputSpec(csv_path="x.csv").validate()
         OutputSpec(svg_path="x.svg", include_theory=True).validate()
+
+
+def _must_not_run(cfg):
+    raise AssertionError("run_experiment ran although an output cannot be written")
+
 
 FAST = ["--n", "80", "--capacity", "12", "--p", "0.2", "--q", "0.0001",
         "--horizon", "15", "--trials", "4", "--seed", "3"]
@@ -47,9 +54,35 @@ class TestMain:
         assert exc.value.code != 0
         assert "frobnicate" in capsys.readouterr().err
 
-    def test_unwritable_path_fails_cleanly(self, tmp_path, capsys):
-        assert main(FAST + ["--csv", str(tmp_path / "missing" / "x.csv")]) == 1
-        assert "cannot write" in capsys.readouterr().err
+    def test_unwritable_path_fails_cleanly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + ["--csv", str(tmp_path / "missing" / "x.csv")])
+        assert exc.value.code != 0
+        assert "cannot write --csv" in capsys.readouterr().err
+
+    def test_directory_target_fails_before_running(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + ["--csv", str(tmp_path / "ok.csv"), "--svg", str(tmp_path)])
+        assert exc.value.code != 0
+        assert "cannot write --svg" in capsys.readouterr().err
+        assert not (tmp_path / "ok.csv").exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        fresh = tmp_path / "new.csv"
+        kept = tmp_path / "old.svg"
+        kept.write_text("previous run", encoding="utf-8")
+        assert main(FAST + ["--csv", str(fresh)]) == 1
+        assert main(FAST + ["--svg", str(kept)]) == 1
+        assert "cannot write output file" in capsys.readouterr().err
+        assert not fresh.exists()
+        assert kept.read_text(encoding="utf-8") == "previous run"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.svg"]
 
     def test_svg_run(self, tmp_path):
         out = tmp_path / "fig.svg"

@@ -11,35 +11,56 @@ from sirpool import (
     assemble_matrix,
     build_saffron_submatrix,
     code_width,
-    decode_group,
     decode_round,
     evaluate_tests,
 )
 from tests.test_sir import make_state
 
 
-def group_results(eta, infected_positions):
-    """Evaluate one group's code block directly against an infected subset."""
-    block = build_saffron_submatrix(range(eta))
-    hit = np.zeros(eta, dtype=bool)
-    hit[list(infected_positions)] = True
-    return (block & hit).any(axis=1)
+def dense_matrix(matrix):
+    """Oracle: the literal rows x n 0/1 matrix, built bit by bit from the layout.
+
+    Group k's block takes rows [k*2b, (k+1)*2b): top row r holds bit b-1-r of
+    each member's position, bottom row b+r its complement. Singleton rows follow.
+    """
+    g, eta = matrix.groups.shape
+    b = max(1, int(np.ceil(np.log2(eta)))) if g else 0
+    dense = np.zeros((matrix.rows, matrix.n), dtype=bool)
+    for k in range(g):
+        for pos in range(eta):
+            member = int(matrix.groups[k, pos])
+            for r in range(b):
+                bit = (pos >> (b - 1 - r)) & 1
+                dense[k * 2 * b + r, member] = bit == 1
+                dense[k * 2 * b + b + r, member] = bit == 0
+    for i, member in enumerate(matrix.single_members):
+        dense[g * 2 * b + i, member] = True
+    return dense
+
+
+def decode_one_group(eta, infected_positions, members=None):
+    """Evaluate and decode a one-group matrix; return that group's GroupDecode."""
+    members = list(range(eta)) if members is None else list(members)
+    n = max(members) + 1
+    matrix = assemble_matrix(n, [members], [])
+    state = make_state(n, infected_idx=[members[pos] for pos in infected_positions])
+    return decode_round(matrix, evaluate_tests(matrix, state)).decoded[0]
 
 
 class TestSubmatrixConstruction:
     def test_eta_4_hand_checked(self):
-        block = build_saffron_submatrix([10, 11, 12, 13])
+        block = build_saffron_submatrix(4)
         assert block.shape == (4, 4)
         # top-half columns spell 00, 01, 10, 11 (most significant bit first)
         assert block[:2].astype(int).T.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
         assert np.array_equal(block[2:], ~block[:2])
 
     def test_eta_2(self):
-        block = build_saffron_submatrix([0, 1])
+        block = build_saffron_submatrix(2)
         assert block.astype(int).tolist() == [[0, 1], [1, 0]]
 
     def test_eta_5_shape_and_codes(self):
-        block = build_saffron_submatrix(range(5))
+        block = build_saffron_submatrix(5)
         assert block.shape == (6, 5)
         weights = 1 << np.arange(2, -1, -1)
         assert (weights @ block[:3].astype(int)).tolist() == [0, 1, 2, 3, 4]
@@ -48,7 +69,7 @@ class TestSubmatrixConstruction:
     def test_rejects_tiny_groups(self):
         for eta in (0, 1):
             with pytest.raises(ValueError):
-                build_saffron_submatrix(range(eta))
+                build_saffron_submatrix(eta)
 
     @pytest.mark.parametrize("eta,width", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3),
                                            (9, 4), (16, 4), (17, 5), (1000, 10)])
@@ -59,46 +80,42 @@ class TestSubmatrixConstruction:
 class TestDecodeGroup:
     def test_single_infection_hand_example(self):
         # member at position 2 of 4 lights rows {0, 3}: code 10 plus complement 01
-        results = group_results(4, [2])
+        matrix = assemble_matrix(24, [[20, 21, 22, 23]], [])
+        results = evaluate_tests(matrix, make_state(24, infected_idx=[22]))
         assert np.flatnonzero(results).tolist() == [0, 3]
-        verdict = decode_group(results, [20, 21, 22, 23])
+        verdict = decode_round(matrix, results).decoded[0]
         assert verdict.verdict is Verdict.SINGLE
         assert verdict.member == 22
 
     def test_all_negative(self):
-        verdict = decode_group(group_results(4, []), [0, 1, 2, 3])
-        assert verdict.verdict is Verdict.ALL_NEGATIVE
+        assert decode_one_group(4, []).verdict is Verdict.ALL_NEGATIVE
 
     def test_two_infections_is_multiple(self):
-        results = group_results(4, [1, 2])
+        matrix = assemble_matrix(4, [[0, 1, 2, 3]], [])
+        results = evaluate_tests(matrix, make_state(4, infected_idx=[1, 2]))
         assert int(results.sum()) > code_width(4)
-        assert decode_group(results, [0, 1, 2, 3]).verdict is Verdict.MULTIPLE
-
-    def test_rejects_malformed_slice(self):
-        with pytest.raises(ValueError):
-            decode_group([1, 0, 0], [0, 1, 2, 3])
+        assert decode_round(matrix, results).decoded[0].verdict is Verdict.MULTIPLE
 
     @pytest.mark.parametrize("eta", range(2, 17))
     def test_exhaustive_zero_and_one(self, eta):
         members = list(range(100, 100 + eta))
-        assert decode_group(group_results(eta, []), members).verdict is Verdict.ALL_NEGATIVE
+        assert decode_one_group(eta, [], members).verdict is Verdict.ALL_NEGATIVE
         for pos in range(eta):
-            verdict = decode_group(group_results(eta, [pos]), members)
+            verdict = decode_one_group(eta, [pos], members)
             assert verdict.verdict is Verdict.SINGLE
             assert verdict.member == members[pos]
 
     @pytest.mark.parametrize("eta", range(2, 17))
     def test_exhaustive_pairs_are_multiple(self, eta):
-        members = list(range(eta))
         for pair in itertools.combinations(range(eta), 2):
-            assert decode_group(group_results(eta, pair), members).verdict is Verdict.MULTIPLE
+            assert decode_one_group(eta, pair).verdict is Verdict.MULTIPLE
 
     @given(st.integers(min_value=3, max_value=16), st.data())
     @settings(max_examples=200, deadline=None)
     def test_larger_subsets_never_misdecode(self, eta, data):
         k = data.draw(st.integers(min_value=3, max_value=eta))
         infected = data.draw(st.sets(st.integers(0, eta - 1), min_size=k, max_size=k))
-        verdict = decode_group(group_results(eta, infected), list(range(eta)))
+        verdict = decode_one_group(eta, infected)
         assert verdict.verdict is not Verdict.ALL_NEGATIVE
         if verdict.verdict is Verdict.SINGLE:
             assert verdict.member in infected
@@ -121,22 +138,23 @@ class TestEvaluateTests:
         assert not evaluate_tests(matrix, state).any()
 
     def test_matches_brute_force_oracle(self):
-        # Independent oracle: the literal double loop OR over the dense matrix.
+        # Independent oracle: the literal double loop OR over the dense matrix,
+        # on 1-4 equal-size groups plus singles, so the row offsets between
+        # groups and before the singleton rows are checked too.
         rng = np.random.default_rng(99)
         for _ in range(300):
-            n = int(rng.integers(4, 13))
-            eta = int(rng.integers(2, min(n, 5) + 1))
-            members = rng.choice(n, size=eta, replace=False)
-            others = np.setdiff1d(np.arange(n), members)
+            n_groups = int(rng.integers(1, 5))
+            eta = int(rng.integers(2, 6))
+            n = int(rng.integers(n_groups * eta, n_groups * eta + 6))
+            drawn = rng.choice(n, size=n_groups * eta, replace=False)
+            others = np.setdiff1d(np.arange(n), drawn)
             singles = rng.choice(others, size=min(others.size, int(rng.integers(0, 3))),
                                  replace=False)
-            matrix = assemble_matrix(n, [members], singles)
-            if matrix.rows > 8:
-                continue
+            matrix = assemble_matrix(n, drawn.reshape(n_groups, eta), singles)
             statuses = rng.integers(0, 3, size=n).astype(np.int8)
             state = make_state(n, infected_idx=np.flatnonzero(statuses == Status.INFECTED),
                                isolated_idx=np.flatnonzero(statuses == Status.ISOLATED))
-            dense = matrix.entries
+            dense = dense_matrix(matrix)
             expected = []
             for i in range(matrix.rows):
                 row = False
@@ -154,18 +172,20 @@ class TestEvaluateTests:
 
 class TestMatrixLayout:
     def test_group_blocks_and_singles(self):
-        matrix = assemble_matrix(20, [[3, 4, 5, 6, 7], [10, 11]], [0, 19])
-        assert matrix.rows == 6 + 2 + 2
-        assert matrix.groups[0].row_start == 0
-        assert matrix.groups[0].row_stop == 6
-        assert matrix.groups[1].row_start == 6
-        assert matrix.individual_rows == [(8, 0), (9, 19)]
+        matrix = assemble_matrix(20, [[3, 4, 5, 6, 7], [10, 11, 12, 13, 14]], [0, 19])
+        assert matrix.rows == 6 + 6 + 2
+        assert matrix.groups.shape == (2, 5)
+        assert matrix.single_members.tolist() == [0, 19]
+        # 10 is position 0 of the second group: code 000 lights only its
+        # complement rows 9..11; singleton 19 is the last row, 13
+        results = evaluate_tests(matrix, make_state(20, infected_idx=[10, 19]))
+        assert np.flatnonzero(results).tolist() == [9, 10, 11, 13]
 
     def test_dense_entries_match_structure(self):
         matrix = assemble_matrix(12, [[2, 3, 4, 5]], [0, 11])
-        dense = matrix.entries
+        dense = dense_matrix(matrix)
         assert dense.shape == (6, 12)
-        assert np.array_equal(dense[0:4][:, [2, 3, 4, 5]], build_saffron_submatrix(range(4)))
+        assert np.array_equal(dense[0:4][:, [2, 3, 4, 5]], build_saffron_submatrix(4))
         untouched = np.setdiff1d(np.arange(12), [2, 3, 4, 5])
         assert not dense[0:4][:, untouched].any()
         assert dense[4, 0] and dense[5, 11]
@@ -173,9 +193,16 @@ class TestMatrixLayout:
 
     def test_singleton_rows_have_one_entry(self):
         matrix = assemble_matrix(30, [], np.arange(7))
-        for row, individual in matrix.individual_rows:
-            assert matrix.entries[row].sum() == 1
-            assert matrix.entries[row, individual]
+        assert matrix.groups.shape == (0, 0)
+        dense = dense_matrix(matrix)
+        for row, individual in enumerate(matrix.single_members):
+            assert dense[row].sum() == 1
+            assert dense[row, individual]
+
+    def test_rejects_ragged_and_tiny_groups(self):
+        for groups in ([[0, 1, 2], [3, 4]], [[0], [1]], [[]]):
+            with pytest.raises(ValueError):
+                assemble_matrix(8, groups, [])
 
 
 class TestDecodeRound:
@@ -200,3 +227,17 @@ class TestDecodeRound:
         state = make_state(8, infected_idx=[2])
         outcome = decode_round(matrix, evaluate_tests(matrix, state))
         assert outcome.identified.tolist() == [2]
+
+    def test_codeword_beyond_group_is_multiple(self):
+        # eta = 3 uses codes 00..10; a hand-made block spelling 11 with its
+        # complement names no member, so it must not decode as SINGLE
+        matrix = assemble_matrix(3, [[0, 1, 2]], [])
+        outcome = decode_round(matrix, np.array([True, True, False, False]))
+        assert outcome.decoded[0].verdict is Verdict.MULTIPLE
+        assert outcome.identified.size == 0
+
+    def test_rejects_wrong_length_results(self):
+        matrix = assemble_matrix(8, [[0, 1, 2, 3]], [5])
+        for length in (0, matrix.rows - 1, matrix.rows + 1):
+            with pytest.raises(ValueError):
+                decode_round(matrix, np.zeros(length, dtype=bool))

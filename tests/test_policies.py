@@ -16,8 +16,8 @@ from sirpool import (
 from tests.test_sir import make_state
 
 
-def ctx(n=1000, capacity=30, isolated=0, expected=0.0, t=1):
-    return PolicyContext(t=t, n=n, capacity=capacity, isolated=isolated,
+def ctx(n=1000, capacity=30, isolated=0, expected=0.0):
+    return PolicyContext(n=n, capacity=capacity, isolated=isolated,
                          expected_infected=expected)
 
 
@@ -25,7 +25,7 @@ class TestPlanIndividual:
     def test_rows_match_capacity_and_are_distinct(self):
         matrix = plan_individual(ctx(n=100, capacity=40), np.random.default_rng(0))
         assert matrix.rows == 40
-        assert not matrix.groups
+        assert len(matrix.groups) == 0
         tested = matrix.single_members
         assert np.unique(tested).size == 40
 
@@ -56,7 +56,7 @@ class TestPlanSaffronHybrid:
         matrix = plan_saffron_hybrid(ctx(expected=200.0), np.arange(1000),
                                      np.random.default_rng(1))
         assert len(matrix.groups) == 5
-        assert all(len(g.members) == 5 for g in matrix.groups)
+        assert all(len(g) == 5 for g in matrix.groups)
         assert matrix.rows == 30
         assert matrix.single_members.size == 0
 
@@ -65,21 +65,21 @@ class TestPlanSaffronHybrid:
         matrix = plan_saffron_hybrid(ctx(expected=2.0), np.arange(1000),
                                      np.random.default_rng(1))
         assert len(matrix.groups) == 1
-        assert len(matrix.groups[0].members) == 500
+        assert len(matrix.groups[0]) == 500
         assert matrix.single_members.size == 12
         assert matrix.rows == 30
 
     def test_fallback_on_small_expected(self):
         matrix = plan_saffron_hybrid(ctx(expected=0.5), np.arange(1000),
                                      np.random.default_rng(1))
-        assert not matrix.groups
+        assert len(matrix.groups) == 0
         assert matrix.rows == 30
 
     def test_groups_disjoint_and_non_isolated_only(self):
         rng = np.random.default_rng(2)
         non_isolated = np.arange(0, 900)
         matrix = plan_saffron_hybrid(ctx(isolated=100, expected=90.0), non_isolated, rng)
-        members = np.concatenate([g.members for g in matrix.groups])
+        members = matrix.groups.ravel()
         assert np.unique(members).size == members.size
         assert np.isin(members, non_isolated).all()
 
@@ -90,8 +90,8 @@ class TestPlanSaffronHybrid:
                                      np.arange(12), np.random.default_rng(3))
         # eta = floor(12/3) = 4, rows 4, capacity allows 10 groups, pool allows 3
         assert len(matrix.groups) == 3
-        assert all(len(g.members) == 4 for g in matrix.groups)
-        members = np.concatenate([g.members for g in matrix.groups])
+        assert all(len(g) == 4 for g in matrix.groups)
+        members = matrix.groups.ravel()
         assert np.unique(members).size == 12
 
     def test_capacity_never_exceeded(self):
@@ -105,8 +105,8 @@ class TestPlanSaffronHybrid:
                 ctx(n=n, capacity=capacity, isolated=isolated, expected=expected),
                 np.arange(isolated, n), rng)
             assert matrix.rows <= capacity
-            if matrix.groups:
-                eta = len(matrix.groups[0].members)
+            if len(matrix.groups):
+                eta = len(matrix.groups[0])
                 assert 2 * code_width(eta) <= capacity
 
 

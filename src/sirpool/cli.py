@@ -87,16 +87,14 @@ def _write_text(path: str, text: str) -> None:
 
 def write_csv(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
     """One row per step; theory_lambda cells stay empty unless requested."""
+    steps = stats.config.horizon + 1
+    columns = [[_fmt(x) for x in series[:steps].tolist()] for series in
+               (stats.mean_susceptible, stats.mean_infected, stats.mean_isolated)]
+    theory = ([_fmt(x) for x in stats.theory.expected_infected[:steps].tolist()]
+              if include_theory else [""] * steps)
     lines = [CSV_HEADER]
-    for t in range(stats.config.horizon + 1):
-        theory_cell = _fmt(stats.theory.expected_infected[t]) if include_theory else ""
-        lines.append(",".join([
-            str(t),
-            _fmt(stats.mean_susceptible[t]),
-            _fmt(stats.mean_infected[t]),
-            _fmt(stats.mean_isolated[t]),
-            theory_cell,
-        ]))
+    lines.extend(",".join([str(t), *cells])
+                 for t, cells in enumerate(zip(*columns, theory)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -167,7 +165,8 @@ def write_svg(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
     legend_y = SVG_MARGIN + 10
     for name, values in _svg_series(stats, include_theory):
         color = _SERIES_COLORS[name]
-        points = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in enumerate(values))
+        xs, ys = sx(np.arange(values.size)).tolist(), sy(values).tolist()
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         parts.append(f'<line x1="{SVG_WIDTH - 220}" y1="{legend_y}" x2="{SVG_WIDTH - 190}" '

@@ -45,27 +45,40 @@ def plan_individual(ctx: PolicyContext, rng: np.random.Generator) -> TestMatrix:
     return assemble_matrix(ctx.n, [], tested)
 
 
+def saffron_layout(pool: int, expected_infected: float,
+                   capacity: int) -> tuple[int, int, int] | None:
+    """Shape of a pooled round as (eta, groups, leftover), or None to test individually.
+
+    eta comes from theory.saffron_group_size over the ``pool`` non-isolated
+    individuals. floor(capacity / (2*ceil(log2(eta)))) groups fit, capped at
+    what the pool can supply, and the ``leftover`` rows they do not use go to
+    singleton tests. The group-size rule guarantees at least one group fits.
+    """
+    eta = saffron_group_size(pool, expected_infected, capacity)
+    if eta is None:
+        return None
+    rows_per_group = 2 * code_width(eta)
+    groups = min(capacity // rows_per_group, pool // eta)
+    return eta, groups, capacity - groups * rows_per_group
+
+
 def plan_saffron_hybrid(ctx: PolicyContext, non_isolated,
                         rng: np.random.Generator) -> TestMatrix:
     """Pooled groups over the non-isolated individuals, leftover rows as singletons.
 
     Groups of size eta = floor((n - isolated) / expected_infected), clamped
     to [2, pool size], are drawn disjointly from the non-isolated
-    individuals; floor(capacity / (2*ceil(log2(eta)))) groups fit, capped at
-    what the pool can supply. Remaining capacity goes to singleton tests
-    drawn from the whole population. Falls back to plan_individual when the
-    switch rule says pooling is not worthwhile this round.
+    individuals, as many as ``saffron_layout`` fits. Remaining capacity goes
+    to singleton tests drawn from the whole population. Falls back to
+    plan_individual when the switch rule says pooling is not worthwhile this
+    round.
     """
     pool = np.asarray(non_isolated, dtype=np.int64)
-    eta = saffron_group_size(pool.size, ctx.expected_infected, ctx.capacity)
-    if eta is None:
+    layout = saffron_layout(pool.size, ctx.expected_infected, ctx.capacity)
+    if layout is None:
         return plan_individual(ctx, rng)
-    rows_per_group = 2 * code_width(eta)
-    n_groups = min(ctx.capacity // rows_per_group, pool.size // eta)
-    if n_groups == 0:
-        return plan_individual(ctx, rng)
+    eta, n_groups, leftover = layout
     groups = rng.choice(pool, size=n_groups * eta, replace=False).reshape(n_groups, eta)
-    leftover = ctx.capacity - n_groups * rows_per_group
     singles = rng.choice(ctx.n, size=leftover, replace=False) if leftover else []
     return assemble_matrix(ctx.n, groups, singles)
 

@@ -43,7 +43,9 @@ class SimConfig:
     q:        per (infected, susceptible) pair transmission probability per step
     horizon:  number of simulated time steps per trial
     trials:   number of Monte Carlo repetitions
-    seed:     base RNG seed (>= 0); per-trial streams are derived from (seed, trial)
+    seed:     RNG seed (>= 0); run_experiment seeds one generator with it for
+              all trials, while the per-individual oracle derives one stream
+              per trial from (seed, trial)
     policy:   "individual" or "saffron-hybrid" test planning
     epsilon:  infected-count threshold used when reporting control times
     """

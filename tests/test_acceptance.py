@@ -3,7 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion. The two Monte Carlo experiments at the reference parameters
 (n=1000, capacity=30, p=0.2, q=1e-5, horizon=500, trials=1000) are shared
-module fixtures and take about a minute combined.
+module fixtures. They run on the count-level engine of ``run_experiment``
+and take well under a second each; ``tests/test_engine_equivalence.py``
+checks that engine against the per-individual one.
 
 C2 holds the individual-testing mean trajectory to the recursion in
 ``mean_trajectory``, which models the shrinking susceptible pool, within

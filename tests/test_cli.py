@@ -6,8 +6,9 @@ import pytest
 
 from sirpool import cli
 from sirpool.cli import CSV_HEADER, OutputSpec, main, read_csv, write_csv
-from sirpool.harness import run_experiment
+from sirpool.harness import TrajectoryStats, run_experiment
 from sirpool.sir import ConfigError, SimConfig
+from sirpool.theory import TheoryCurve
 
 
 class TestOutputSpec:
@@ -153,3 +154,53 @@ class TestCsvRoundTrip:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.decode("utf-8").count("\n") == 14
+
+
+def fixed_stats() -> TrajectoryStats:
+    """Hand-picked values whose 9-digit and 2-decimal renderings are easy to get wrong."""
+    cfg = SimConfig(n=1000, horizon=6, trials=3)
+    series = np.array([[1000.0, 999.5, 2 / 3, 1e-12, 123456789.123, 0.0, 1 / 7],
+                       [0.0, 0.1 + 0.2, 1e20, 5e-324, 333.33333333333, 999.999999999, 1.0],
+                       [12.5, 12.505, 0.125, 0.135, 2.675, 1.005, 1e-5]])
+    curve = TheoryCurve(expected_susceptible=series[0], expected_infected=series[2] * 3,
+                        expected_isolated=series[1], pre_test_infected=series[2],
+                        miss_prob=np.ones(7), saffron_mode=np.zeros(7, dtype=bool))
+    return TrajectoryStats(config=cfg, mean_susceptible=series[0], mean_infected=series[1],
+                           mean_isolated=series[2], var_susceptible=series[0],
+                           var_infected=series[1], var_isolated=series[2],
+                           control_time=np.zeros(3, dtype=np.int64),
+                           control_censored=np.zeros(3, dtype=bool), theory=curve)
+
+
+class TestWritersMatchPerCellFormatting:
+    """The writers format whole series at once; each cell must read as formatted one by one."""
+
+    @pytest.mark.parametrize("include_theory", [False, True])
+    def test_csv(self, tmp_path, include_theory):
+        stats = fixed_stats()
+        path = tmp_path / "t.csv"
+        write_csv(str(path), stats, include_theory)
+        lines = [CSV_HEADER]
+        for t in range(7):
+            lines.append(",".join([
+                str(t), cli._fmt(stats.mean_susceptible[t]), cli._fmt(stats.mean_infected[t]),
+                cli._fmt(stats.mean_isolated[t]),
+                cli._fmt(stats.theory.expected_infected[t]) if include_theory else ""]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("include_theory", [False, True])
+    def test_svg_points(self, tmp_path, include_theory):
+        stats = fixed_stats()
+        path = tmp_path / "t.svg"
+        cli.write_svg(str(path), stats, include_theory)
+        plot_w = cli.SVG_WIDTH - 2 * cli.SVG_MARGIN
+        plot_h = cli.SVG_HEIGHT - 2 * cli.SVG_MARGIN
+        expected = []
+        for _, values in cli._svg_series(stats, include_theory):
+            expected.append(" ".join(
+                f"{cli.SVG_MARGIN + plot_w * (t / 6):.2f},"
+                f"{cli.SVG_MARGIN + plot_h * (1.0 - values[t] / 1000):.2f}"
+                for t in range(7)))
+        root = ET.parse(path).getroot()
+        lines = root.findall("{http://www.w3.org/2000/svg}polyline")
+        assert [line.get("points") for line in lines] == expected

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sirpool import (
     expected_lambda_individual,
     run_experiment,
 )
+from sirpool.policies import saffron_layout
 
 
 def small_cfg(**kwargs):
@@ -78,6 +81,78 @@ class TestRunExperiment:
         se = stats.stderr_infected()
         allowance = np.maximum(0.05 * closed, 4 * se)
         assert np.all(np.abs(stats.mean_infected - closed) <= allowance)
+
+
+def assert_count_invariants(stats):
+    """What every trial's counts promise, read through the aggregates."""
+    cfg = stats.config
+    assert stats.mean_infected.shape == (cfg.horizon + 1,)
+    totals = stats.mean_susceptible + stats.mean_infected + stats.mean_isolated
+    assert np.all(np.abs(totals - cfg.n) <= 1e-9 * cfg.n)
+    assert np.all(np.diff(stats.mean_isolated) >= 0)
+    assert np.all(np.diff(stats.mean_susceptible) <= 0)
+    time, censored = stats.control_time, stats.control_censored
+    assert time.dtype == np.int64 and censored.dtype == bool
+    assert time.shape == censored.shape == (cfg.trials,)
+    assert np.all((0 <= time) & (time <= cfg.horizon))
+    assert np.all(time[censored] == cfg.horizon)
+    # a trial holds infections up to its control time and none from then on,
+    # so the mean is positive exactly until the last trial clears
+    last = cfg.horizon + 1 if censored.any() else time.max()
+    assert np.all(stats.mean_infected[:last] > 0)
+    assert np.all(stats.mean_infected[last:] == 0)
+    if cfg.trials == 1:
+        assert not stats.var_infected.any()
+
+
+EDGES = {
+    "p=0": dict(p=0.0),
+    "p=1": dict(p=1.0),
+    "q=0": dict(q=0.0),
+    "q=1": dict(q=1.0),
+    "capacity=n": dict(capacity=60),
+    "n=2": dict(n=2, capacity=1),
+    "trials=1": dict(trials=1),
+    "horizon=1": dict(horizon=1),
+    # the planner's estimate at t=1 is exactly 1: one group of the whole pool
+    "eta=pool": dict(n=10, capacity=10, p=0.1, q=0.0),
+}
+
+
+class TestCountEngineEdges:
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_invariants(self, edge, policy):
+        stats = run_experiment(small_cfg(**{"policy": policy, "trials": 200, **EDGES[edge]}))
+        assert_count_invariants(stats)
+
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_edge_values(self, policy):
+        everyone = run_experiment(small_cfg(policy=policy, p=1.0))
+        assert not everyone.mean_susceptible.any()
+        still = run_experiment(small_cfg(policy=policy, q=0.0))
+        assert np.all(still.mean_susceptible == still.mean_susceptible[0])
+        burst = run_experiment(small_cfg(policy=policy, q=1.0))
+        assert not burst.mean_susceptible[1:].any()
+
+    def test_group_spans_the_pool(self):
+        cfg = small_cfg(policy="saffron-hybrid", **EDGES["eta=pool"])
+        stats = run_experiment(cfg)
+        assert stats.theory.pre_test_infected[1] == 1.0
+        assert saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity) \
+            == (10, 1, 2)
+
+    def test_memory_stays_linear(self):
+        # (3, trials, steps) int64 counts would take 3 * 10_000 * 501 * 8 B = 120 MB;
+        # at p=0.002 the last trial still runs for hundreds of steps
+        tracemalloc.start()
+        try:
+            stats = run_experiment(SimConfig(trials=10_000, horizon=500, p=0.002, q=0.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.control_time.max() > 250
+        assert peak < 12 * 2 ** 20
 
 
 class TestEmpiricalEpsilonTime:

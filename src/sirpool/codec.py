@@ -13,8 +13,8 @@ whether the group holds zero or several infections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
@@ -79,31 +79,25 @@ def assemble_matrix(n: int, groups, singles) -> TestMatrix:
     return TestMatrix(n=n, groups=members, single_members=np.asarray(singles, dtype=np.int64))
 
 
-class Verdict(Enum):
-    ALL_NEGATIVE = "all-negative"
-    SINGLE = "single"
-    MULTIPLE = "multiple"
+class Verdict(IntEnum):
+    """What one group's code block says about its members."""
 
-
-@dataclass(frozen=True)
-class GroupDecode:
-    """Decode outcome for one group: which case, and the member if SINGLE."""
-
-    verdict: Verdict
-    member: int | None = None
-
-
-_ALL_NEGATIVE = GroupDecode(Verdict.ALL_NEGATIVE)
-_MULTIPLE = GroupDecode(Verdict.MULTIPLE)
+    ALL_NEGATIVE = 0
+    SINGLE = 1
+    MULTIPLE = 2
 
 
 @dataclass
 class RoundOutcome:
-    """Test results and identifications from one testing round."""
+    """Identifications and per-group verdicts from one testing round.
 
-    results: np.ndarray  # bool vector, one entry per test row
-    decoded: list[GroupDecode] = field(default_factory=list)
-    identified: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    ``identified`` holds the sorted individuals the round names, from groups
+    and singleton rows alike; ``verdicts`` holds one int8 ``Verdict`` code
+    per pooled group, in group order.
+    """
+
+    identified: np.ndarray
+    verdicts: np.ndarray
 
 
 def evaluate_tests(matrix: TestMatrix, state: PopulationState) -> np.ndarray:
@@ -133,8 +127,8 @@ def decode_round(matrix: TestMatrix, results: np.ndarray) -> RoundOutcome:
     if results.shape != (matrix.rows,):
         raise ValueError(f"expected {matrix.rows} results, got shape {results.shape}")
     split = matrix.group_rows
-    decoded = []
     found = np.empty(0, dtype=np.int64)
+    verdicts = np.empty(0, dtype=np.int8)
     if split:
         g, eta = matrix.groups.shape
         b = code_width(eta)
@@ -143,10 +137,9 @@ def decode_round(matrix: TestMatrix, results: np.ndarray) -> RoundOutcome:
         index = top @ (1 << np.arange(b - 1, -1, -1))
         single = (top != blocks[:, b:]).all(axis=1) & (index < eta)
         found = matrix.groups[single, index[single]]
-        decoded = [_MULTIPLE if positive else _ALL_NEGATIVE
-                   for positive in blocks.any(axis=1).tolist()]
-        for k, member in zip(np.flatnonzero(single).tolist(), found.tolist()):
-            decoded[k] = GroupDecode(Verdict.SINGLE, member)
+        verdicts = np.where(single, np.int8(Verdict.SINGLE),
+                            np.where(blocks.any(axis=1), np.int8(Verdict.MULTIPLE),
+                                     np.int8(Verdict.ALL_NEGATIVE)))
     positive_singles = matrix.single_members[results[split:]]
     identified = np.unique(np.concatenate([found, positive_singles]))
-    return RoundOutcome(results=results, decoded=decoded, identified=identified)
+    return RoundOutcome(identified=identified, verdicts=verdicts)

@@ -23,14 +23,13 @@ from .theory import saffron_group_size
 class PolicyContext:
     """What the planner is allowed to see at one time step.
 
-    The tester knows whom it has isolated (``isolated``) and the theory
-    estimate of the post-spread infected count (``expected_infected``); it
-    never observes true infection statuses directly.
+    The tester knows the population size, its per-round test budget and the
+    theory estimate of the post-spread infected count (``expected_infected``);
+    it never observes true infection statuses directly.
     """
 
     n: int
     capacity: int
-    isolated: int = 0
     expected_infected: float = 0.0
 
 
@@ -66,12 +65,11 @@ def plan_saffron_hybrid(ctx: PolicyContext, non_isolated,
                         rng: np.random.Generator) -> TestMatrix:
     """Pooled groups over the non-isolated individuals, leftover rows as singletons.
 
-    Groups of size eta = floor((n - isolated) / expected_infected), clamped
-    to [2, pool size], are drawn disjointly from the non-isolated
-    individuals, as many as ``saffron_layout`` fits. Remaining capacity goes
-    to singleton tests drawn from the whole population. Falls back to
-    plan_individual when the switch rule says pooling is not worthwhile this
-    round.
+    Groups of size eta = floor(pool / expected_infected), where pool is the
+    number of non-isolated individuals, are drawn disjointly from them, as
+    many as ``saffron_layout`` fits. Remaining capacity goes to singleton
+    tests drawn from the whole population. Falls back to plan_individual
+    when the switch rule says pooling is not worthwhile this round.
     """
     pool = np.asarray(non_isolated, dtype=np.int64)
     layout = saffron_layout(pool.size, ctx.expected_infected, ctx.capacity)
@@ -92,7 +90,7 @@ def run_round(state: PopulationState, policy: str, capacity: int,
     uses only this round's results; identified individuals are isolated
     before the function returns.
     """
-    ctx = PolicyContext(n=state.n, capacity=capacity, isolated=state.isolated,
+    ctx = PolicyContext(n=state.n, capacity=capacity,
                         expected_infected=0.0 if expected_infected is None else expected_infected)
     if policy == POLICY_INDIVIDUAL:
         matrix = plan_individual(ctx, rng)

@@ -65,8 +65,9 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n < 1:
-            raise ConfigError(f"population size must be >= 1, got {self.n}")
+        if not 1 <= self.n < 10**9:
+            raise ConfigError(f"population size must be in [1, 10**9), the range numpy's "
+                              f"hypergeometric sampler accepts, got {self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"initial infection probability p must be in [0, 1], got {self.p}")
         if not 0.0 <= self.q <= 1.0:
@@ -149,8 +150,7 @@ def isolate(state: PopulationState, identified) -> PopulationState:
     are noiseless, so anything else means the decoder produced a false
     positive and is rejected here.
     """
-    idx = np.unique(np.asarray(list(identified) if isinstance(identified, set) else identified,
-                               dtype=np.int64))
+    idx = np.unique(np.asarray(identified, dtype=np.int64))
     if idx.size == 0:
         return state
     if idx[0] < 0 or idx[-1] >= state.n:

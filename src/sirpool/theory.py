@@ -130,18 +130,17 @@ def saffron_expected_detections(n: int, capacity: int, isolated: float,
 def saffron_group_size(pool: float, expected_infected: float, capacity: int) -> int | None:
     """Group size the pooled planner should use, or None to fall back to individual tests.
 
-    The size is floor(pool / expected_infected) capped at the pool. The
-    fallback fires when the expected infected count is below 1, the size
-    would drop below 2 (the regime where the detection formula stops
-    applying), or one group's code block would not fit in the per-round
-    capacity.
+    The size is floor(pool / expected_infected), which cannot exceed the
+    pool because pooling needs expected_infected >= 1. The fallback fires
+    when the expected infected count is below 1, the size would drop below 2
+    (the regime where the detection formula stops applying), or one group's
+    code block would not fit in the per-round capacity.
     """
     if expected_infected < 1.0 or pool < 2:
         return None
     eta = int(pool // expected_infected)
     if eta < 2:
         return None
-    eta = min(eta, int(pool))
     if capacity < 2 * code_width(eta):
         return None
     return eta

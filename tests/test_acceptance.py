@@ -25,26 +25,15 @@ import math
 import numpy as np
 import pytest
 
-from sirpool import (
-    PolicyContext,
-    PopulationState,
-    SimConfig,
-    Status,
+from sirpool import SimConfig, empirical_epsilon_time, run_experiment
+from sirpool.codec import Verdict, assemble_matrix, decode_round, evaluate_tests
+from sirpool.policies import PolicyContext, plan_saffron_hybrid, run_round
+from sirpool.sir import PopulationState, Status, init_population, spread_phase
+from sirpool.theory import (
     TheoryParams,
-    Verdict,
-    assemble_matrix,
-    decode_round,
-    empirical_epsilon_time,
     epsilon_control_time,
-    evaluate_tests,
     expected_lambda_individual,
-    init_population,
-    isolate,
     mean_trajectory,
-    plan_saffron_hybrid,
-    run_experiment,
-    run_round,
-    spread_phase,
 )
 
 SEED = 20260810
@@ -122,8 +111,7 @@ def test_c3_pooled_detection_rate():
     statuses[rng.choice(n, size=frozen, replace=False)] = Status.INFECTED
     state = PopulationState(statuses=statuses, susceptible=n - frozen,
                             infected=frozen, isolated=0)
-    ctx = PolicyContext(n=n, capacity=capacity, isolated=0,
-                        expected_infected=float(frozen))
+    ctx = PolicyContext(n=n, capacity=capacity, expected_infected=float(frozen))
     pool = np.arange(n)
     formula_groups = (capacity / 2.0) / math.log2(5.0)
     rounds = 10000
@@ -132,7 +120,7 @@ def test_c3_pooled_detection_rate():
         matrix = plan_saffron_hybrid(ctx, pool, rng)
         assert len(matrix.groups) == 5 and matrix.single_members.size == 0
         outcome = decode_round(matrix, evaluate_tests(matrix, state))
-        singles = sum(d.verdict is Verdict.SINGLE for d in outcome.decoded)
+        singles = np.count_nonzero(outcome.verdicts == Verdict.SINGLE)
         assert np.all(state.statuses[outcome.identified] == Status.INFECTED)
         per_round[r] = formula_groups * singles / len(matrix.groups)
     mean = per_round.mean()
@@ -144,32 +132,32 @@ def test_c3_pooled_detection_rate():
 
 
 def _decode_one_group(eta, infected_positions):
+    """The group's verdict and the members the round identifies."""
     matrix = assemble_matrix(eta, [range(eta)], [])
     infected = np.zeros(eta, dtype=np.int8)
     infected[list(infected_positions)] = Status.INFECTED
     k = len(infected_positions)
     state = PopulationState(statuses=infected, susceptible=eta - k, infected=k)
-    return decode_round(matrix, evaluate_tests(matrix, state)).decoded[0]
+    outcome = decode_round(matrix, evaluate_tests(matrix, state))
+    return outcome.verdicts[0], outcome.identified.tolist()
 
 
 def test_c4_codec_exhaustive():
     rng = np.random.default_rng(SEED)
     checked = 0
     for eta in range(2, 17):
-        assert _decode_one_group(eta, []).verdict is Verdict.ALL_NEGATIVE
+        assert _decode_one_group(eta, []) == (Verdict.ALL_NEGATIVE, [])
         for pos in range(eta):
-            verdict = _decode_one_group(eta, [pos])
-            assert verdict.verdict is Verdict.SINGLE and verdict.member == pos
+            assert _decode_one_group(eta, [pos]) == (Verdict.SINGLE, [pos])
         for pair in itertools.combinations(range(eta), 2):
-            assert _decode_one_group(eta, pair).verdict is Verdict.MULTIPLE
+            assert _decode_one_group(eta, pair) == (Verdict.MULTIPLE, [])
         if eta >= 3:
             for _ in range(1000):
                 k = int(rng.integers(3, eta + 1))
                 chosen = rng.choice(eta, size=k, replace=False)
-                verdict = _decode_one_group(eta, chosen)
-                assert verdict.verdict is not Verdict.ALL_NEGATIVE
-                assert not (verdict.verdict is Verdict.SINGLE
-                            and verdict.member not in chosen)
+                verdict, identified = _decode_one_group(eta, chosen)
+                assert verdict != Verdict.ALL_NEGATIVE
+                assert not (verdict == Verdict.SINGLE and identified[0] not in chosen)
         checked += 1
     report("C4 codec exhaustive decode", checked == 15,
            "sizes 2..16: all 0/1-infection subsets decode exactly, all pairs "

@@ -22,7 +22,7 @@ class TestOutputSpec:
 
 
 def _must_not_run(cfg):
-    raise AssertionError("run_experiment ran although an output cannot be written")
+    raise AssertionError("run_experiment ran although the run was invalid")
 
 
 FAST = ["--n", "80", "--capacity", "12", "--p", "0.2", "--q", "0.0001",
@@ -69,6 +69,15 @@ class TestMain:
         assert exc.value.code != 0
         assert "cannot write --svg" in capsys.readouterr().err
         assert not (tmp_path / "ok.csv").exists()
+
+    def test_population_beyond_sampler_fails_before_running(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + ["--n", "1000000000", "--csv", str(tmp_path / "x.csv")])
+        assert exc.value.code != 0
+        assert "hypergeometric sampler" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         def fail_replace(src, dst):

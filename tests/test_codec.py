@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sirpool import (
-    Status,
+from sirpool.codec import (
     Verdict,
     assemble_matrix,
     build_saffron_submatrix,
@@ -14,6 +13,7 @@ from sirpool import (
     decode_round,
     evaluate_tests,
 )
+from sirpool.sir import Status
 from tests.test_sir import make_state
 
 
@@ -39,12 +39,13 @@ def dense_matrix(matrix):
 
 
 def decode_one_group(eta, infected_positions, members=None):
-    """Evaluate and decode a one-group matrix; return that group's GroupDecode."""
+    """Evaluate and decode a one-group matrix; return (verdict, identified list)."""
     members = list(range(eta)) if members is None else list(members)
     n = max(members) + 1
     matrix = assemble_matrix(n, [members], [])
     state = make_state(n, infected_idx=[members[pos] for pos in infected_positions])
-    return decode_round(matrix, evaluate_tests(matrix, state)).decoded[0]
+    outcome = decode_round(matrix, evaluate_tests(matrix, state))
+    return outcome.verdicts[0], outcome.identified.tolist()
 
 
 class TestSubmatrixConstruction:
@@ -83,42 +84,40 @@ class TestDecodeGroup:
         matrix = assemble_matrix(24, [[20, 21, 22, 23]], [])
         results = evaluate_tests(matrix, make_state(24, infected_idx=[22]))
         assert np.flatnonzero(results).tolist() == [0, 3]
-        verdict = decode_round(matrix, results).decoded[0]
-        assert verdict.verdict is Verdict.SINGLE
-        assert verdict.member == 22
+        outcome = decode_round(matrix, results)
+        assert outcome.verdicts.tolist() == [Verdict.SINGLE]
+        assert outcome.identified.tolist() == [22]
 
     def test_all_negative(self):
-        assert decode_one_group(4, []).verdict is Verdict.ALL_NEGATIVE
+        assert decode_one_group(4, []) == (Verdict.ALL_NEGATIVE, [])
 
     def test_two_infections_is_multiple(self):
         matrix = assemble_matrix(4, [[0, 1, 2, 3]], [])
         results = evaluate_tests(matrix, make_state(4, infected_idx=[1, 2]))
         assert int(results.sum()) > code_width(4)
-        assert decode_round(matrix, results).decoded[0].verdict is Verdict.MULTIPLE
+        assert decode_round(matrix, results).verdicts.tolist() == [Verdict.MULTIPLE]
 
     @pytest.mark.parametrize("eta", range(2, 17))
     def test_exhaustive_zero_and_one(self, eta):
         members = list(range(100, 100 + eta))
-        assert decode_one_group(eta, [], members).verdict is Verdict.ALL_NEGATIVE
+        assert decode_one_group(eta, [], members) == (Verdict.ALL_NEGATIVE, [])
         for pos in range(eta):
-            verdict = decode_one_group(eta, [pos], members)
-            assert verdict.verdict is Verdict.SINGLE
-            assert verdict.member == members[pos]
+            assert decode_one_group(eta, [pos], members) == (Verdict.SINGLE, [members[pos]])
 
     @pytest.mark.parametrize("eta", range(2, 17))
     def test_exhaustive_pairs_are_multiple(self, eta):
         for pair in itertools.combinations(range(eta), 2):
-            assert decode_one_group(eta, pair).verdict is Verdict.MULTIPLE
+            assert decode_one_group(eta, pair) == (Verdict.MULTIPLE, [])
 
     @given(st.integers(min_value=3, max_value=16), st.data())
     @settings(max_examples=200, deadline=None)
     def test_larger_subsets_never_misdecode(self, eta, data):
         k = data.draw(st.integers(min_value=3, max_value=eta))
         infected = data.draw(st.sets(st.integers(0, eta - 1), min_size=k, max_size=k))
-        verdict = decode_one_group(eta, infected)
-        assert verdict.verdict is not Verdict.ALL_NEGATIVE
-        if verdict.verdict is Verdict.SINGLE:
-            assert verdict.member in infected
+        verdict, identified = decode_one_group(eta, infected)
+        assert verdict != Verdict.ALL_NEGATIVE
+        assert set(identified) <= infected
+        assert len(identified) == (verdict == Verdict.SINGLE)
 
 
 class TestEvaluateTests:
@@ -140,7 +139,9 @@ class TestEvaluateTests:
     def test_matches_brute_force_oracle(self):
         # Independent oracle: the literal double loop OR over the dense matrix,
         # on 1-4 equal-size groups plus singles, so the row offsets between
-        # groups and before the singleton rows are checked too.
+        # groups and before the singleton rows are checked too. Each group's
+        # verdict must match its count of infected members read off the dense
+        # matrix: none, exactly one, or two and more.
         rng = np.random.default_rng(99)
         for _ in range(300):
             n_groups = int(rng.integers(1, 5))
@@ -162,7 +163,18 @@ class TestEvaluateTests:
                     row = row or (bool(dense[i, j])
                                   and state.statuses[j] == Status.INFECTED)
                 expected.append(row)
-            assert evaluate_tests(matrix, state).tolist() == expected
+            results = evaluate_tests(matrix, state)
+            assert results.tolist() == expected
+            b = code_width(eta)
+            infected = state.statuses == Status.INFECTED
+            members_hit = [int((dense[k * 2 * b] | dense[k * 2 * b + b])[infected].sum())
+                           for k in range(n_groups)]
+            verdicts = decode_round(matrix, results).verdicts
+            assert verdicts.dtype == np.int8
+            assert verdicts.tolist() == [min(hit, Verdict.MULTIPLE) for hit in members_hit]
+        outcome = decode_round(assemble_matrix(4, [], [0, 1]), np.array([True, False]))
+        assert outcome.verdicts.dtype == np.int8 and outcome.verdicts.shape == (0,)
+        assert outcome.identified.tolist() == [0]
 
     def test_rejects_population_mismatch(self):
         matrix = assemble_matrix(8, [], [0])
@@ -211,15 +223,14 @@ class TestDecodeRound:
         state = make_state(20, infected_idx=[2, 9])
         outcome = decode_round(matrix, evaluate_tests(matrix, state))
         assert outcome.identified.tolist() == [2, 9]
-        assert outcome.decoded[0].verdict is Verdict.SINGLE
-        assert outcome.decoded[1].verdict is Verdict.ALL_NEGATIVE
+        assert outcome.verdicts.tolist() == [Verdict.SINGLE, Verdict.ALL_NEGATIVE]
 
     def test_multiple_group_yields_nothing(self):
         matrix = assemble_matrix(8, [[0, 1, 2, 3]], [])
         state = make_state(8, infected_idx=[0, 3])
         outcome = decode_round(matrix, evaluate_tests(matrix, state))
         assert outcome.identified.size == 0
-        assert outcome.decoded[0].verdict is Verdict.MULTIPLE
+        assert outcome.verdicts.tolist() == [Verdict.MULTIPLE]
 
     def test_deduplicates_single_and_singleton(self):
         # individual 2 is both the group's single infection and singleton-tested
@@ -233,7 +244,7 @@ class TestDecodeRound:
         # complement names no member, so it must not decode as SINGLE
         matrix = assemble_matrix(3, [[0, 1, 2]], [])
         outcome = decode_round(matrix, np.array([True, True, False, False]))
-        assert outcome.decoded[0].verdict is Verdict.MULTIPLE
+        assert outcome.verdicts.tolist() == [Verdict.MULTIPLE]
         assert outcome.identified.size == 0
 
     def test_rejects_wrong_length_results(self):

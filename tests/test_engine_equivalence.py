@@ -16,8 +16,10 @@ have zero variance at exactly the steps where the other one has stragglers.
 import numpy as np
 import pytest
 
-from sirpool import SimConfig, TheoryParams, mean_trajectory, run_experiment, run_trial, trial_rng
+from sirpool import SimConfig, run_experiment
+from sirpool.harness import run_trial, trial_rng
 from sirpool.policies import saffron_layout
+from sirpool.theory import TheoryParams, mean_trajectory
 
 ENGINE_TRIALS = 20_000
 ORACLE_TRIALS = 1_500

@@ -3,15 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sirpool import (
-    ConfigError,
-    SimConfig,
-    TheoryParams,
-    empirical_epsilon_time,
-    expected_lambda_individual,
-    run_experiment,
-)
+from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
 from sirpool.policies import saffron_layout
+from sirpool.theory import TheoryParams, expected_lambda_individual
 
 
 def small_cfg(**kwargs):
@@ -141,6 +135,16 @@ class TestCountEngineEdges:
         assert stats.theory.pre_test_infected[1] == 1.0
         assert saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity) \
             == (10, 1, 2)
+
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_largest_accepted_population(self, policy):
+        # n = 10**9 - 1 is the largest size validate accepts; q=0 keeps the
+        # hybrid's pooled rounds, whose hypergeometric draw splits I and S
+        cfg = SimConfig(n=10**9 - 1, horizon=3, trials=2, q=0.0, policy=policy)
+        stats = run_experiment(cfg)
+        assert_count_invariants(stats)
+        if policy == "saffron-hybrid":
+            assert saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity)
 
     def test_memory_stays_linear(self):
         # (3, trials, steps) int64 counts would take 3 * 10_000 * 501 * 8 B = 120 MB;

@@ -1,24 +1,15 @@
 import numpy as np
 import pytest
 
-from sirpool import (
-    PolicyContext,
-    SimConfig,
-    Status,
-    Verdict,
-    code_width,
-    init_population,
-    plan_individual,
-    plan_saffron_hybrid,
-    run_round,
-    spread_phase,
-)
+from sirpool import SimConfig
+from sirpool.codec import Verdict, code_width
+from sirpool.policies import PolicyContext, plan_individual, plan_saffron_hybrid, run_round
+from sirpool.sir import Status, init_population, spread_phase
 from tests.test_sir import make_state
 
 
-def ctx(n=1000, capacity=30, isolated=0, expected=0.0):
-    return PolicyContext(n=n, capacity=capacity, isolated=isolated,
-                         expected_infected=expected)
+def ctx(n=1000, capacity=30, expected=0.0):
+    return PolicyContext(n=n, capacity=capacity, expected_infected=expected)
 
 
 class TestPlanIndividual:
@@ -78,7 +69,7 @@ class TestPlanSaffronHybrid:
     def test_groups_disjoint_and_non_isolated_only(self):
         rng = np.random.default_rng(2)
         non_isolated = np.arange(0, 900)
-        matrix = plan_saffron_hybrid(ctx(isolated=100, expected=90.0), non_isolated, rng)
+        matrix = plan_saffron_hybrid(ctx(expected=90.0), non_isolated, rng)
         members = matrix.groups.ravel()
         assert np.unique(members).size == members.size
         assert np.isin(members, non_isolated).all()
@@ -86,7 +77,7 @@ class TestPlanSaffronHybrid:
     def test_group_count_capped_by_pool(self):
         # eta = floor(40/10) = 4 -> 4 rows per group; capacity alone would
         # allow 10 groups but the pool only supplies 40//4 = 10... shrink pool
-        matrix = plan_saffron_hybrid(ctx(n=40, capacity=40, isolated=28, expected=3.0),
+        matrix = plan_saffron_hybrid(ctx(n=40, capacity=40, expected=3.0),
                                      np.arange(12), np.random.default_rng(3))
         # eta = floor(12/3) = 4, rows 4, capacity allows 10 groups, pool allows 3
         assert len(matrix.groups) == 3
@@ -102,7 +93,7 @@ class TestPlanSaffronHybrid:
             isolated = int(rng.integers(0, n - 2))
             expected = float(rng.uniform(0.0, n))
             matrix = plan_saffron_hybrid(
-                ctx(n=n, capacity=capacity, isolated=isolated, expected=expected),
+                ctx(n=n, capacity=capacity, expected=expected),
                 np.arange(isolated, n), rng)
             assert matrix.rows <= capacity
             if len(matrix.groups):
@@ -114,8 +105,8 @@ class TestRunRound:
     def test_no_infections_no_isolations(self):
         state = make_state(50, infected_idx=())
         _, outcome = run_round(state, "individual", 10, np.random.default_rng(0))
-        assert not outcome.results.any()
         assert outcome.identified.size == 0
+        assert outcome.verdicts.size == 0
         assert state.isolated == 0
 
     def test_full_coverage_catches_everything(self):
@@ -132,9 +123,8 @@ class TestRunRound:
         for _ in range(50):
             state = make_state(12, infected_idx=[5])
             _, outcome = run_round(state, "saffron-hybrid", 12, rng, expected_infected=3.0)
-            assert len(outcome.decoded) == 3
-            verdicts = {d.verdict for d in outcome.decoded}
-            assert verdicts == {Verdict.SINGLE, Verdict.ALL_NEGATIVE}
+            assert sorted(outcome.verdicts.tolist()) == [Verdict.ALL_NEGATIVE,
+                                                         Verdict.ALL_NEGATIVE, Verdict.SINGLE]
             assert outcome.identified.tolist() == [5]
             assert state.statuses[5] == Status.ISOLATED
 

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from sirpool import (
-    ConfigError,
-    PopulationState,
-    SimConfig,
-    Status,
-    init_population,
-    isolate,
-    spread_phase,
-)
+from sirpool import ConfigError, SimConfig
+from sirpool.sir import PopulationState, Status, init_population, isolate, spread_phase
 
 
 def make_state(n, infected_idx, isolated_idx=()):
@@ -47,6 +40,7 @@ class TestConfigValidation:
         {"trials": 2.0},
         {"seed": -1},
         {"seed": 1.5},
+        {"n": 10**9},  # beyond numpy's hypergeometric sampler
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError):
@@ -133,18 +127,18 @@ class TestIsolate:
     def test_empty_is_noop(self):
         state = make_state(20, infected_idx=[3, 4])
         before = state.statuses.copy()
-        isolate(state, set())
+        isolate(state, [])
         assert np.array_equal(state.statuses, before)
 
     def test_full_detection(self):
         state = make_state(20, infected_idx=[3, 4, 9])
-        isolate(state, {3, 4, 9})
+        isolate(state, [3, 4, 9])
         assert state.infected == 0
         assert state.isolated == 3
 
     def test_partial_counts(self):
         state = make_state(30, infected_idx=range(5))
-        isolate(state, {1, 3})
+        isolate(state, [1, 3])
         assert state.infected == 3
         assert state.isolated == 2
         assert state.counts_consistent()
@@ -152,17 +146,17 @@ class TestIsolate:
     def test_rejects_susceptible(self):
         state = make_state(10, infected_idx=[0])
         with pytest.raises(ValueError, match="not circulating"):
-            isolate(state, {5})
+            isolate(state, [5])
 
     def test_rejects_already_isolated(self):
         state = make_state(10, infected_idx=[0], isolated_idx=[1])
         with pytest.raises(ValueError, match="not circulating"):
-            isolate(state, {1})
+            isolate(state, [1])
 
     def test_rejects_out_of_range(self):
         state = make_state(10, infected_idx=[0])
         with pytest.raises(ValueError, match="out of range"):
-            isolate(state, {10})
+            isolate(state, [10])
 
 
 class TestTrajectoryInvariants:
@@ -177,7 +171,7 @@ class TestTrajectoryInvariants:
                 spread_phase(state, q, rng)
                 infected = np.flatnonzero(state.statuses == Status.INFECTED)
                 k = min(infected.size, int(rng.integers(0, 5)))
-                isolate(state, rng.choice(infected, size=k, replace=False) if k else set())
+                isolate(state, rng.choice(infected, size=k, replace=False) if k else [])
                 assert state.susceptible + state.infected + state.isolated == n
                 assert state.counts_consistent()
                 # susceptible can only leave, isolated can only grow

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sirpool import (
-    SimConfig,
+from sirpool import SimConfig
+from sirpool.theory import (
     TheoryParams,
     epsilon_control_time,
     expected_alpha,

@@ -5,39 +5,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .harness import TrajectoryStats, empirical_epsilon_time, run_experiment
-from .sir import POLICIES, ConfigError, SimConfig
+from .sir import POLICIES, POLICY_INDIVIDUAL, ConfigError, SimConfig
 from .theory import TheoryParams, epsilon_control_time
 
 CSV_HEADER = "t,alpha_mean,lambda_mean,gamma_mean,theory_lambda"
 
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where the run's results go; at least one target must be set."""
-
-    csv_path: str | None = None
-    svg_path: str | None = None
-    include_theory: bool = False
-
-    def validate(self) -> None:
-        if not self.csv_path and not self.svg_path:
-            raise ConfigError("no output requested: pass --csv and/or --svg")
-        for flag, path in (("--csv", self.csv_path), ("--svg", self.svg_path)):
-            if path:
-                problem = _unwritable(path)
-                if problem:
-                    raise ConfigError(f"cannot write {flag} {path}: {problem}")
-
-    def write(self, stats: TrajectoryStats) -> None:
-        if self.csv_path:
-            write_csv(self.csv_path, stats, self.include_theory)
-        if self.svg_path:
-            write_svg(self.svg_path, stats, self.include_theory)
 
 SVG_WIDTH = 880
 SVG_HEIGHT = 560
@@ -116,17 +92,6 @@ def read_csv(path: str) -> dict[str, np.ndarray]:
     return {name: np.asarray(values) for name, values in columns.items()}
 
 
-def _svg_series(stats: TrajectoryStats, include_theory: bool) -> list[tuple[str, np.ndarray]]:
-    series = [
-        ("alpha_mean", stats.mean_susceptible),
-        ("lambda_mean", stats.mean_infected),
-        ("gamma_mean", stats.mean_isolated),
-    ]
-    if include_theory:
-        series.append(("theory_lambda", stats.theory.expected_infected))
-    return series
-
-
 def write_svg(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
     """Minimal SVG 1.1 line plot: one polyline per series plus axes and a legend."""
     horizon = stats.config.horizon
@@ -162,8 +127,15 @@ def write_svg(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
                      f'font-size="12">{t_tick:.0f}</text>')
         parts.append(f'<text x="{SVG_MARGIN - 8}" y="{sy(v_tick) + 4:.2f}" text-anchor="end" '
                      f'font-size="12">{v_tick:.0f}</text>')
+    series = [
+        ("alpha_mean", stats.mean_susceptible),
+        ("lambda_mean", stats.mean_infected),
+        ("gamma_mean", stats.mean_isolated),
+    ]
+    if include_theory:
+        series.append(("theory_lambda", stats.theory.expected_infected))
     legend_y = SVG_MARGIN + 10
-    for name, values in _svg_series(stats, include_theory):
+    for name, values in series:
         color = _SERIES_COLORS[name]
         xs, ys = sx(np.arange(values.size)).tolist(), sy(values).tolist()
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
@@ -193,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--horizon", type=int, default=500, help="time steps per trial")
     parser.add_argument("--trials", type=int, default=1000, help="Monte Carlo repetitions")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--policy", choices=POLICIES, default="individual",
+    parser.add_argument("--policy", choices=POLICIES, default=POLICY_INDIVIDUAL,
                         help="test planning policy")
     parser.add_argument("--epsilon", type=float, default=1.0,
                         help="infected-count threshold for reported control times")
@@ -207,12 +179,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    outputs = OutputSpec(csv_path=args.csv, svg_path=args.svg, include_theory=args.theory)
+    if not args.csv and not args.svg:
+        parser.error("no output requested: pass --csv and/or --svg")
+    for flag, path in (("--csv", args.csv), ("--svg", args.svg)):
+        problem = _unwritable(path) if path else None
+        if problem:
+            parser.error(f"cannot write {flag} {path}: {problem}")
     cfg = SimConfig(n=args.n, capacity=args.capacity, p=args.p, q=args.q,
                     horizon=args.horizon, trials=args.trials, seed=args.seed,
                     policy=args.policy, epsilon=args.epsilon)
     try:
-        outputs.validate()
         cfg.validate()
     except ConfigError as exc:
         parser.error(str(exc))
@@ -220,7 +196,10 @@ def main(argv=None) -> int:
     stats = run_experiment(cfg)
 
     try:
-        outputs.write(stats)
+        if args.csv:
+            write_csv(args.csv, stats, args.theory)
+        if args.svg:
+            write_svg(args.svg, stats, args.theory)
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return 1
@@ -231,7 +210,7 @@ def main(argv=None) -> int:
               f"within horizon={cfg.horizon}")
     else:
         print(f"mean infected count reaches epsilon={cfg.epsilon:g} at step {reached}")
-    if cfg.policy == "individual":
+    if cfg.policy == POLICY_INDIVIDUAL:
         params = TheoryParams.from_config(cfg)
         try:
             print(f"closed-form epsilon control time: "

@@ -5,10 +5,14 @@ within each compartment and neither planner tells them apart beyond
 "isolated or not", so the (susceptible, infected, isolated) counts form a
 Markov chain of their own (lumpability; Kemeny & Snell, *Finite Markov
 Chains*, 1960). Each step draws that chain exactly from a few binomial and
-hypergeometric draws, vectorized over trials, at a cost that does not grow
-with the population size. It aggregates per-step means and variances,
-extracts per-trial control times, and attaches the matching
-expected-trajectory overlay.
+hypergeometric draws, vectorized over trials. Under individual testing a
+step's cost does not grow with the population size. A pooled step also
+splits each trial's g groups by hypergeometric halving, O(g) draws with
+g ~ capacity / (2 ceil(log2 eta)), so at a fixed capacity/n the hybrid's
+cost grows with n: about 2,000, 62 and 7 trials/s at n = 10^3, 10^5 and
+10^6 (1000 trials, capacity/n = 0.03, n*q = 0.01, 2-CPU VM). It aggregates
+per-step means and variances, extracts per-trial control times, and
+attaches the matching expected-trajectory overlay.
 
 ``run_trial`` is the per-individual engine: it moves a status array
 through ``spread_phase`` and ``run_round``, so it runs the real codec. It is
@@ -47,10 +51,6 @@ class TrajectoryStats:
     control_time: np.ndarray
     control_censored: np.ndarray
     theory: TheoryCurve
-
-    def stderr_infected(self) -> np.ndarray:
-        """Standard error of the per-step mean infected count."""
-        return np.sqrt(self.var_infected / self.config.trials)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -11,6 +11,7 @@ negative samples to any later test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -65,6 +66,10 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("p", "q", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not 1 <= self.n < 10**9:
             raise ConfigError(f"population size must be in [1, 10**9), the range numpy's "
                               f"hypergeometric sampler accepts, got {self.n}")
@@ -93,7 +98,7 @@ class PopulationState:
     """Per-individual statuses plus cached compartment counts.
 
     The counts are redundant with ``statuses`` and are kept in sync by the
-    state-transition functions; ``counts_consistent`` checks the cache.
+    state-transition functions.
     """
 
     statuses: np.ndarray  # int8 vector of Status values, length n
@@ -104,13 +109,6 @@ class PopulationState:
     @property
     def n(self) -> int:
         return self.statuses.size
-
-    def tally(self) -> tuple[int, int, int]:
-        counts = np.bincount(self.statuses, minlength=3)
-        return int(counts[0]), int(counts[1]), int(counts[2])
-
-    def counts_consistent(self) -> bool:
-        return self.tally() == (self.susceptible, self.infected, self.isolated)
 
 
 def init_population(cfg: SimConfig, rng: np.random.Generator) -> PopulationState:

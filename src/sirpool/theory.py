@@ -120,8 +120,6 @@ def saffron_expected_detections(n: int, capacity: int, isolated: float,
     eta = pool / expected_infected
     if eta < 2.0:
         raise ValueError(f"group size (n - isolated)/expected_infected = {eta} is below 2")
-    if capacity == 0:
-        return 0.0
     rate = expected_infected / pool
     zeta = (capacity / 2.0) / math.log2(eta) * (1.0 - rate) ** (eta - 1.0)
     return min(zeta, expected_infected)
@@ -153,8 +151,8 @@ class TheoryCurve:
     ``pre_test_infected[t]`` is the expected infected count after step t's
     spread phase but before its tests: the planner's estimate for round t.
     ``miss_prob[t]`` is the probability a circulating infection survives the
-    tests of step t (1.0 at t=0, where no tests run), and ``saffron_mode[t]``
-    records whether the hybrid accounting used pooled groups at step t.
+    tests of step t (1.0 at t=0, where no tests run); ``expected_alpha``
+    takes ``miss_prob[1:]`` as its miss sequence.
     """
 
     expected_susceptible: np.ndarray
@@ -162,7 +160,6 @@ class TheoryCurve:
     expected_isolated: np.ndarray
     pre_test_infected: np.ndarray
     miss_prob: np.ndarray
-    saffron_mode: np.ndarray
 
 
 def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCurve:
@@ -184,7 +181,6 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
     gam = np.empty(steps)
     pre = np.empty(steps)
     miss = np.ones(steps)
-    pooled = np.zeros(steps, dtype=bool)
 
     alpha[0] = params.n * (1.0 - params.p)
     lam[0] = params.n * params.p
@@ -212,7 +208,5 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
         gam[t] = g
         pre[t] = l_spread
         miss[t] = 1.0 - zeta / l_spread if l_spread > 0.0 else 1.0
-        pooled[t] = use_pooled
     return TheoryCurve(expected_susceptible=alpha, expected_infected=lam,
-                       expected_isolated=gam, pre_test_infected=pre,
-                       miss_prob=miss, saffron_mode=pooled)
+                       expected_isolated=gam, pre_test_infected=pre, miss_prob=miss)

@@ -1,17 +1,22 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
-per criterion. The two Monte Carlo experiments at the reference parameters
-(n=1000, capacity=30, p=0.2, q=1e-5, horizon=500, trials=1000) are shared
-module fixtures. They run on the count-level engine of ``run_experiment``
-and take well under a second each; ``tests/test_engine_equivalence.py``
-checks that engine against the per-individual one.
+per criterion. The Monte Carlo experiments at the reference parameters
+(n=1000, capacity=30, p=0.2, q=1e-5, horizon=500) are shared module
+fixtures on the count-level engine of ``run_experiment``;
+``tests/test_engine_equivalence.py`` checks that engine against the
+per-individual one. C7 and C8 read one 1000-trial experiment per policy.
+C2 and C9 read their own 20,000-trial individual-testing experiment (about
+2 s): at 1000 trials C2's 3 SE band over 301 steps failed by chance at 5 of
+100 seeds.
 
 C2 holds the individual-testing mean trajectory to the recursion in
 ``mean_trajectory``, which models the shrinking susceptible pool, within
 max(5% rel, 3 SE) at every t <= 300. The closed form freezes the pool at
 n(1-p), so against it C2 asserts only what it promises: the simulated mean
 never exceeds it by more than 3 SE, and the epsilon time lands within 10%.
+C9 holds the closed-form never-infected count ``expected_alpha`` at t=500
+to the simulated mean susceptible count within 0.5%.
 
 Only C7 fails by design: its convergence-time direction. The hybrid planner
 sizes its groups from the open-loop recursion estimate, which reaches one
@@ -32,9 +37,11 @@ from sirpool.sir import PopulationState, Status, init_population, spread_phase
 from sirpool.theory import (
     TheoryParams,
     epsilon_control_time,
+    expected_alpha,
     expected_lambda_individual,
     mean_trajectory,
 )
+from tests.test_sir import counts_consistent
 
 SEED = 20260810
 
@@ -45,6 +52,11 @@ def report(label: str, ok: bool, detail: str) -> None:
     line = f"[acceptance] {label}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
+
+
+@pytest.fixture(scope="module")
+def many_trials_individual():
+    return run_experiment(SimConfig(policy="individual", **{**REFERENCE, "trials": 20_000}))
 
 
 @pytest.fixture(scope="module")
@@ -64,16 +76,16 @@ def test_c1_epsilon_control_time():
            f"computed {value:.4f}, target 235.57 +/- 0.01")
 
 
-def test_c2_individual_theory_vs_simulation(reference_individual):
+def test_c2_individual_theory_vs_simulation(many_trials_individual):
     # The closed form holds the susceptible pool at n(1-p), so it bounds the
     # mean only from above; its two-sided gap is reported, not asserted.
-    stats = reference_individual
+    stats = many_trials_individual
     params = TheoryParams.from_config(stats.config)
     ts = np.arange(301)
     recursion = mean_trajectory(params, "individual", 300).expected_infected
     closed = stats.config.n * stats.config.p * params.individual_decay ** ts
     mc = stats.mean_infected[:301]
-    se = stats.stderr_infected()[:301]
+    se = np.sqrt(stats.var_infected / stats.config.trials)[:301]
     violations = np.flatnonzero(np.abs(mc - recursion) > np.maximum(0.05 * recursion, 3 * se))
     band_ok = violations.size == 0
     z = np.divide(mc - recursion, se, out=np.zeros_like(se), where=se > 0)
@@ -189,7 +201,7 @@ def test_c5_invariant_suite():
             expected = curve.pre_test_infected[t] if cfg.policy == "saffron-hybrid" else None
             run_round(state, cfg.policy, cfg.capacity, trial_rng, expected)
             assert state.susceptible + state.infected + state.isolated == n
-            assert state.counts_consistent()
+            assert counts_consistent(state)
             assert state.isolated >= prev_isolated
             assert state.susceptible <= prev_susceptible
             was_isolated = prev_statuses == Status.ISOLATED
@@ -251,3 +263,28 @@ def test_c8_both_policies_converge(reference_individual, reference_hybrid):
     report("C8 converged by horizon", final_ind < 1.0 and final_hyb < 1.0,
            f"mean infected at t=500: individual {final_ind:.4f}, "
            f"hybrid {final_hyb:.4f} (limit 1.0)")
+
+
+def test_c9_expected_alpha_individual(many_trials_individual):
+    """Closed-form never-infected count against the simulation, individual testing.
+
+    ``expected_alpha`` puts the mean exposure in the exponent of (1-q) and
+    grows it with the frozen-pool factor, and both approximations lower it
+    below the simulated mean. At ``SEED`` it reads 731.20 against 732.33 +/-
+    0.135, a gap of -0.15%, about 8 SE: no SE band fits a model gap, so the
+    band is relative. 0.5% is three times the measured gap, and it still
+    fails when the exponent is off by 10% (a gap of about -1%). Under the
+    hybrid policy the recursion's miss probabilities follow the planner's
+    open-loop estimate, and the closed form overshoots the simulation by
+    9.4% (672.3 vs 614.5 at ``SEED``, 20,000 trials): that is C7's
+    mechanism, so it is not asserted here.
+    """
+    stats = many_trials_individual
+    t = 500
+    alpha = expected_alpha(TheoryParams.from_config(stats.config), stats.theory.miss_prob[1:], t)
+    mc = stats.mean_susceptible[t]
+    se = math.sqrt(stats.var_susceptible[t] / stats.config.trials)
+    gap = (alpha - mc) / mc
+    report("C9 closed-form never-infected count (individual)", abs(gap) <= 0.005,
+           f"expected_alpha {alpha:.2f} vs Monte Carlo {mc:.2f} +/- {se:.3f} at t={t}, "
+           f"gap {gap:+.2%} (limit 0.5%)")

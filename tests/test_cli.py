@@ -5,20 +5,10 @@ import numpy as np
 import pytest
 
 from sirpool import cli
-from sirpool.cli import CSV_HEADER, OutputSpec, main, read_csv, write_csv
+from sirpool.cli import CSV_HEADER, main, read_csv, write_csv
 from sirpool.harness import TrajectoryStats, run_experiment
-from sirpool.sir import ConfigError, SimConfig
+from sirpool.sir import SimConfig
 from sirpool.theory import TheoryCurve
-
-
-class TestOutputSpec:
-    def test_requires_a_target(self):
-        with pytest.raises(ConfigError):
-            OutputSpec().validate()
-
-    def test_single_target_is_enough(self):
-        OutputSpec(csv_path="x.csv").validate()
-        OutputSpec(svg_path="x.svg", include_theory=True).validate()
 
 
 def _must_not_run(cfg):
@@ -173,7 +163,7 @@ def fixed_stats() -> TrajectoryStats:
                        [12.5, 12.505, 0.125, 0.135, 2.675, 1.005, 1e-5]])
     curve = TheoryCurve(expected_susceptible=series[0], expected_infected=series[2] * 3,
                         expected_isolated=series[1], pre_test_infected=series[2],
-                        miss_prob=np.ones(7), saffron_mode=np.zeros(7, dtype=bool))
+                        miss_prob=np.ones(7))
     return TrajectoryStats(config=cfg, mean_susceptible=series[0], mean_infected=series[1],
                            mean_isolated=series[2], var_susceptible=series[0],
                            var_infected=series[1], var_isolated=series[2],
@@ -204,8 +194,11 @@ class TestWritersMatchPerCellFormatting:
         cli.write_svg(str(path), stats, include_theory)
         plot_w = cli.SVG_WIDTH - 2 * cli.SVG_MARGIN
         plot_h = cli.SVG_HEIGHT - 2 * cli.SVG_MARGIN
+        series = [stats.mean_susceptible, stats.mean_infected, stats.mean_isolated]
+        if include_theory:
+            series.append(stats.theory.expected_infected)
         expected = []
-        for _, values in cli._svg_series(stats, include_theory):
+        for values in series:
             expected.append(" ".join(
                 f"{cli.SVG_MARGIN + plot_w * (t / 6):.2f},"
                 f"{cli.SVG_MARGIN + plot_h * (1.0 - values[t] / 1000):.2f}"

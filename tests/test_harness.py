@@ -72,7 +72,7 @@ class TestRunExperiment:
         stats = run_experiment(cfg)
         params = TheoryParams.from_config(cfg)
         closed = np.array([expected_lambda_individual(params, t) for t in range(81)])
-        se = stats.stderr_infected()
+        se = np.sqrt(stats.var_infected / cfg.trials)
         allowance = np.maximum(0.05 * closed, 4 * se)
         assert np.all(np.abs(stats.mean_infected - closed) <= allowance)
 

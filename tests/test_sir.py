@@ -14,6 +14,12 @@ def make_state(n, infected_idx, isolated_idx=()):
                            infected=int(counts[1]), isolated=int(counts[2]))
 
 
+def counts_consistent(state):
+    """Whether the cached compartment counts match the status array."""
+    counts = np.bincount(state.statuses, minlength=3)
+    return counts.tolist() == [state.susceptible, state.infected, state.isolated]
+
+
 class TestConfigValidation:
     def test_defaults_valid(self):
         SimConfig().validate()
@@ -21,6 +27,9 @@ class TestConfigValidation:
     def test_accepts_numpy_integers(self):
         SimConfig(n=np.int64(1000), capacity=np.int32(30), horizon=np.int64(5),
                   trials=np.int16(2), seed=np.uint32(7)).validate()
+
+    def test_accepts_numpy_floats(self):
+        SimConfig(p=np.float32(0.2), q=np.float64(1e-5), epsilon=np.float16(1.0)).validate()
 
     @pytest.mark.parametrize("kwargs", [
         {"n": 0},
@@ -41,6 +50,10 @@ class TestConfigValidation:
         {"seed": -1},
         {"seed": 1.5},
         {"n": 10**9},  # beyond numpy's hypergeometric sampler
+        {"p": "0.2"},
+        {"p": True},
+        {"q": None},
+        {"epsilon": "1"},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError):
@@ -66,7 +79,7 @@ class TestInitPopulation:
     def test_counts_consistent_and_t_zero(self):
         state = init_population(SimConfig(n=777, p=0.3), np.random.default_rng(1))
         assert state.isolated == 0
-        assert state.counts_consistent()
+        assert counts_consistent(state)
 
     def test_binomial_mean(self):
         # Binomial oracle: mean n*p = 200, sd of the 1000-trial mean
@@ -120,7 +133,7 @@ class TestSpreadPhase:
         rng = np.random.default_rng(3)
         state = make_state(200, infected_idx=range(30), isolated_idx=range(30, 40))
         spread_phase(state, 0.01, rng)
-        assert state.counts_consistent()
+        assert counts_consistent(state)
 
 
 class TestIsolate:
@@ -141,7 +154,7 @@ class TestIsolate:
         isolate(state, [1, 3])
         assert state.infected == 3
         assert state.isolated == 2
-        assert state.counts_consistent()
+        assert counts_consistent(state)
 
     def test_rejects_susceptible(self):
         state = make_state(10, infected_idx=[0])
@@ -173,7 +186,7 @@ class TestTrajectoryInvariants:
                 k = min(infected.size, int(rng.integers(0, 5)))
                 isolate(state, rng.choice(infected, size=k, replace=False) if k else [])
                 assert state.susceptible + state.infected + state.isolated == n
-                assert state.counts_consistent()
+                assert counts_consistent(state)
                 # susceptible can only leave, isolated can only grow
                 assert not np.any((prev == Status.ISOLATED) & (state.statuses != Status.ISOLATED))
                 assert not np.any((prev != Status.SUSCEPTIBLE)

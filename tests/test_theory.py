@@ -214,14 +214,24 @@ class TestMeanTrajectory:
 
     def test_hybrid_switches_to_individual_eventually(self):
         curve = mean_trajectory(BASE, "saffron-hybrid", 500)
-        assert curve.saffron_mode[1]
-        switched = np.flatnonzero(~curve.saffron_mode[1:]) + 1
+        gamma, pre = curve.expected_isolated, curve.pre_test_infected
+        steps = np.arange(1, 501)
+        # step t pools when the planner's rule sizes a group from step t's estimate
+        pooled = np.array([
+            saffron_group_size(BASE.n - gamma[t - 1], pre[t], BASE.capacity) is not None
+            for t in steps])
+        for t, pools in zip(steps, pooled):
+            zeta = (saffron_expected_detections(BASE.n, BASE.capacity, gamma[t - 1], pre[t])
+                    if pools else BASE.capacity / BASE.n * pre[t])
+            assert gamma[t] - gamma[t - 1] == pytest.approx(zeta, rel=1e-9, abs=1e-9)
+        assert pooled[0]
+        switched = np.flatnonzero(~pooled)
         assert switched.size
         first = switched[0]
         # pooled accounting never resumes after the switch
-        assert not curve.saffron_mode[first:].any()
+        assert not pooled[first:].any()
         # the switch happens once the expected infected count drops below 1
-        assert curve.pre_test_infected[first] < 1.0
+        assert pre[steps[first]] < 1.0
 
     def test_hybrid_first_step_uses_pooled_detection_rate(self):
         curve = mean_trajectory(BASE, "saffron-hybrid", 1)

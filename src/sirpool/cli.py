@@ -185,6 +185,8 @@ def main(argv=None) -> int:
         problem = _unwritable(path) if path else None
         if problem:
             parser.error(f"cannot write {flag} {path}: {problem}")
+    if args.csv and args.svg and os.path.realpath(args.csv) == os.path.realpath(args.svg):
+        parser.error(f"--csv {args.csv} and --svg {args.svg} are the same file")
     cfg = SimConfig(n=args.n, capacity=args.capacity, p=args.p, q=args.q,
                     horizon=args.horizon, trials=args.trials, seed=args.seed,
                     policy=args.policy, epsilon=args.epsilon)

@@ -7,12 +7,16 @@ Markov chain of their own (lumpability; Kemeny & Snell, *Finite Markov
 Chains*, 1960). Each step draws that chain exactly from a few binomial and
 hypergeometric draws, vectorized over trials. Under individual testing a
 step's cost does not grow with the population size. A pooled step also
-splits each trial's g groups by hypergeometric halving, O(g) draws with
-g ~ capacity / (2 ceil(log2 eta)), so at a fixed capacity/n the hybrid's
-cost grows with n: about 2,000, 62 and 7 trials/s at n = 10^3, 10^5 and
-10^6 (1000 trials, capacity/n = 0.03, n*q = 0.01, 2-CPU VM). It aggregates
-per-step means and variances, extracts per-trial control times, and
-attaches the matching expected-trajectory overlay.
+counts each trial's lone groups among its g ~ capacity / (2 ceil(log2 eta))
+groups: a round of more than ``TREE_MAX_GROUPS`` groups draws every group's
+infected count at once and corrects each trial's total exactly
+(``_lone_groups_flat``), a smaller one splits the count by hypergeometric
+halving (``_lone_groups``). Either way a round takes O(g) draws, so at a
+fixed capacity/n the hybrid's cost grows with n: about 1,800, 94 and 12
+trials/s at n = 10^3, 10^5 and 10^6 (1000 trials, capacity/n = 0.03,
+n*q = 0.01, 2-CPU VM). It aggregates per-step means and variances, extracts
+per-trial control times, and attaches the matching expected-trajectory
+overlay.
 
 ``run_trial`` is the per-individual engine: it moves a status array
 through ``spread_phase`` and ``run_round``, so it runs the real codec. It is
@@ -29,6 +33,10 @@ import numpy as np
 from .sir import POLICY_SAFFRON_HYBRID, SimConfig, init_population, spread_phase
 from .policies import run_round, saffron_layout
 from .theory import TheoryCurve, TheoryParams, mean_trajectory
+
+# Rounds with more groups than this find their lone groups with
+# ``_lone_groups_flat``; up to it, the halving tree's few levels cost less.
+TREE_MAX_GROUPS = 8
 
 
 @dataclass
@@ -109,6 +117,45 @@ def _lone_groups(infected: np.ndarray, groups: np.ndarray, eta: np.ndarray,
         width = np.concatenate([half, width - half])
 
 
+def _lone_groups_flat(infected: np.ndarray, groups: np.ndarray, eta: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """``_lone_groups`` in a few whole-array passes, however many groups a round has.
+
+    Every group of trial j first gets Binomial(eta, K/(groups*eta)) members,
+    K = infected[j]. Given their total S, those members fill a uniform
+    S-subset of the trial's slots, so removing S - K of them uniformly (or
+    filling K - S of the empty slots uniformly) leaves a uniform K-subset:
+    the law ``_lone_groups`` samples. Both corrections take distinct units
+    uniformly from a per-group count vector, the members or the empty slots:
+    draw with replacement, keep the distinct ones, redraw the shortfall.
+    Transient memory peaks at about 24 bytes per group, in the binomial draw.
+    """
+    members = rng.binomial(np.repeat(eta, groups), np.repeat(infected / (groups * eta), groups))
+    starts = np.cumsum(groups) - groups
+    excess = np.add.reduceat(members, starts) - infected
+    owner = np.repeat(np.arange(infected.size, dtype=np.int32), groups)
+    if excess.any():
+        # count the empty slots instead where members must be added
+        fill = np.repeat(excess < 0, groups)
+        np.subtract(eta[owner], members, out=members, where=fill)
+        ends = np.cumsum(members)
+        first = ends[starts] - members[starts]
+        span = ends[starts + groups - 1] - first
+        need = np.abs(excess)
+        picked = np.empty(0, dtype=np.int64)
+        short = need
+        while short.any():
+            who = np.repeat(np.arange(need.size), short)
+            picked = np.sort(np.concatenate([picked, first[who] + rng.integers(0, span[who])]))
+            picked = picked[np.diff(picked, prepend=-1) != 0]
+            hit = np.searchsorted(ends, picked, side="right")
+            short = need - np.bincount(owner[hit], minlength=need.size)
+        del ends
+        members -= np.bincount(hit, minlength=members.size)
+        np.subtract(eta[owner], members, out=members, where=fill)
+    return np.bincount(owner[members == 1], minlength=infected.size)
+
+
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one testing round identifies, per trial, from post-spread counts.
@@ -132,7 +179,8 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     if pooled.size:
         in_groups = rng.hypergeometric(infected[pooled], susceptible[pooled],
                                        groups[pooled] * eta[pooled])
-        found = _lone_groups(in_groups, groups[pooled], eta[pooled], rng)
+        lone_groups = _lone_groups_flat if groups.max() > TREE_MAX_GROUPS else _lone_groups
+        found = lone_groups(in_groups, groups[pooled], eta[pooled], rng)
     hits = rng.hypergeometric(infected, cfg.n - infected, leftover)
     if pooled.size:
         hits[pooled] += found - rng.hypergeometric(found, infected[pooled] - found,
@@ -151,7 +199,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     are recorded after the testing phase of each step (step 0 is the freshly
     drawn population). A trial with no circulating infections never changes
     again, so it leaves the arrays, and once every trial has, the remaining
-    steps are filled. Memory is O(trials + horizon).
+    steps are filled. Memory is O(trials + horizon), plus, in a pooled
+    round, about 24 bytes per group of every pooled trial.
     """
     cfg.validate()
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)

@@ -60,6 +60,16 @@ class TestMain:
         assert "cannot write --svg" in capsys.readouterr().err
         assert not (tmp_path / "ok.csv").exists()
 
+    def test_same_file_for_both_outputs_fails_before_running(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + ["--csv", str(out), "--svg", str(tmp_path / "." / "out")])
+        assert exc.value.code != 0
+        assert "are the same file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_population_beyond_sampler_fails_before_running(self, tmp_path, capsys,
                                                              monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", _must_not_run)

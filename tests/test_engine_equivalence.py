@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sirpool import SimConfig, run_experiment
-from sirpool.harness import run_trial, trial_rng
+from sirpool.harness import TREE_MAX_GROUPS, run_trial, trial_rng
 from sirpool.policies import saffron_layout
 from sirpool.theory import TheoryParams, mean_trajectory
 
@@ -38,6 +38,11 @@ CONFIGS = {
     # once isolation has shrunk the pool and the estimate, then individual again
     "hybrid-fallback-first": dict(n=100, capacity=30, p=0.6, q=1e-3, horizon=40,
                                   policy="saffron-hybrid"),
+    # rounds of 128 and 64 groups of 2-4 with more than one infected per
+    # group on average, so the flat lone-group sampler runs and its
+    # correction has work to do
+    "hybrid-wide-rounds": dict(n=400, capacity=256, p=0.4, q=2e-4, horizon=30,
+                               policy="saffron-hybrid"),
 }
 
 SERIES = ("susceptible", "infected", "isolated")
@@ -48,19 +53,25 @@ def control_times(infected: np.ndarray, horizon: int) -> np.ndarray:
     return np.where(extinct.any(axis=1), extinct.argmax(axis=1), horizon)
 
 
-def planner_rounds(cfg: SimConfig, counts: np.ndarray) -> tuple[int, int]:
-    """Pooled and fallback rounds the oracle trials ran, from their recorded counts."""
+def planner_rounds(cfg: SimConfig, counts: np.ndarray) -> tuple[int, int, int]:
+    """(pooled, fallback, widest) for the oracle trials, from their recorded counts.
+
+    pooled and fallback count the trial-rounds of each kind; widest is the
+    most groups any pooled round had.
+    """
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
-    pooled = fallback = 0
+    pooled = fallback = widest = 0
     for t in range(1, cfg.horizon + 1):
         active = counts[:, 1, t - 1] > 0
         pools, runs = np.unique(cfg.n - counts[active, 2, t - 1], return_counts=True)
         for pool, trials in zip(pools.tolist(), runs.tolist()):
-            if saffron_layout(pool, curve.pre_test_infected[t], cfg.capacity) is None:
+            layout = saffron_layout(pool, curve.pre_test_infected[t], cfg.capacity)
+            if layout is None:
                 fallback += trials
             else:
                 pooled += trials
-    return pooled, fallback
+                widest = max(widest, layout[1])
+    return pooled, fallback, widest
 
 
 def ks_lambda(a: np.ndarray, b: np.ndarray) -> float:
@@ -137,5 +148,11 @@ def test_control_times_agree(pairs, name):
                                         if c["policy"] == "saffron-hybrid"))
 def test_hybrid_configs_pool_and_fall_back(pairs, name):
     _, oracle = pairs(name)
-    pooled, fallback = planner_rounds(SimConfig(**CONFIGS[name]), oracle)
+    pooled, fallback, _ = planner_rounds(SimConfig(**CONFIGS[name]), oracle)
     assert pooled > 0 and fallback > 0, f"{name}: pooled {pooled}, fallback {fallback}"
+
+
+def test_wide_config_runs_the_flat_sampler(pairs):
+    _, oracle = pairs("hybrid-wide-rounds")
+    _, _, widest = planner_rounds(SimConfig(**CONFIGS["hybrid-wide-rounds"]), oracle)
+    assert widest > TREE_MAX_GROUPS, f"widest pooled round has {widest} groups"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
+from sirpool.harness import TREE_MAX_GROUPS
 from sirpool.policies import saffron_layout
 from sirpool.theory import TheoryParams, expected_lambda_individual
 
@@ -157,6 +158,23 @@ class TestCountEngineEdges:
             tracemalloc.stop()
         assert stats.control_time.max() > 250
         assert peak < 12 * 2 ** 20
+
+    def test_hybrid_memory_stays_linear(self):
+        # every pooled round here has 500-750 groups, so the flat lone-group
+        # sampler runs; it holds about 24 B per group of a round, so
+        # 500 trials * 750 groups take ~9 MB, where per-individual status
+        # arrays would take n * trials = 50 MB
+        cfg = SimConfig(n=100_000, capacity=3000, q=1e-7, horizon=10, trials=500,
+                        policy="saffron-hybrid")
+        tracemalloc.start()
+        try:
+            stats = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        _, groups, _ = saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity)
+        assert groups > TREE_MAX_GROUPS
+        assert peak < 32 * cfg.trials * groups
 
 
 class TestEmpiricalEpsilonTime:

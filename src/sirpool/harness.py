@@ -5,18 +5,31 @@ within each compartment and neither planner tells them apart beyond
 "isolated or not", so the (susceptible, infected, isolated) counts form a
 Markov chain of their own (lumpability; Kemeny & Snell, *Finite Markov
 Chains*, 1960). Each step draws that chain exactly from a few binomial and
-hypergeometric draws, vectorized over trials. Under individual testing a
-step's cost does not grow with the population size. A pooled step also
-counts each trial's lone groups among its g ~ capacity / (2 ceil(log2 eta))
-groups: a round of more than ``TREE_MAX_GROUPS`` groups draws every group's
-infected count at once and corrects each trial's total exactly
-(``_lone_groups_flat``), a smaller one splits the count by hypergeometric
-halving (``_lone_groups``). Either way a round takes O(g) draws, so at a
-fixed capacity/n the hybrid's cost grows with n: about 1,800, 94 and 12
-trials/s at n = 10^3, 10^5 and 10^6 (1000 trials, capacity/n = 0.03,
-n*q = 0.01, 2-CPU VM). It aggregates per-step means and variances, extracts
-per-trial control times, and attaches the matching expected-trajectory
-overlay.
+hypergeometric draws, vectorized over trials.
+
+A round that spends its whole capacity on singleton tests (every
+individual-testing round, and every hybrid round in which no trial pools)
+finds Hypergeom(I, n - I, capacity). When the CDF table of that law for
+every I in 0..n, (n+1)*(capacity+1) float64, has at most
+``SINGLES_TABLE_MAX_CELLS`` = 2^17 cells (1 MiB), the draw is one uniform
+per trial looked up in the table's row (inverse CDF; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, III.2), with a per-step
+transient of about trials*(capacity+1) cells. Larger runs call numpy's
+sampler, whose per-call argument checks cost ~60 us. The table is built
+once per (n, capacity) and cached. Beyond the table's reach an
+individual-testing step costs the same at any n: about 9,300, 3,500 and
+3,500 trials/s at n = 10^3, 10^5 and 10^6.
+
+A pooled step also counts each trial's lone groups among its
+g ~ capacity / (2 ceil(log2 eta)) groups: a round of more than
+``TREE_MAX_GROUPS`` groups draws every group's infected count at once and
+corrects each trial's total exactly (``_lone_groups_flat``), a smaller one
+splits the count by hypergeometric halving (``_lone_groups``). Either way a
+round takes O(g) draws, so at a fixed capacity/n the hybrid's cost grows
+with n: about 2,300, 90 and 12 trials/s at n = 10^3, 10^5 and 10^6 (1000
+trials, capacity/n = 0.03, n*q = 0.01, 2-CPU VM). It aggregates per-step
+means and variances, extracts per-trial control times, and attaches the
+matching expected-trajectory overlay.
 
 ``run_trial`` is the per-individual engine: it moves a status array
 through ``spread_phase`` and ``run_round``, so it runs the real codec. It is
@@ -25,6 +38,7 @@ the reference the count engine is tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +51,11 @@ from .theory import TheoryCurve, TheoryParams, mean_trajectory
 # Rounds with more groups than this find their lone groups with
 # ``_lone_groups_flat``; up to it, the halving tree's few levels cost less.
 TREE_MAX_GROUPS = 8
+
+# Full-capacity singleton rounds draw from the ``_singles_cdf`` table when its
+# (n+1)*(capacity+1) float64 cells fit in this many (1 MiB); larger runs keep
+# numpy's hypergeometric sampler, whose fixed cost per call the table avoids.
+SINGLES_TABLE_MAX_CELLS = 2 ** 17
 
 
 @dataclass
@@ -156,6 +175,46 @@ def _lone_groups_flat(infected: np.ndarray, groups: np.ndarray, eta: np.ndarray,
     return np.bincount(owner[members == 1], minlength=infected.size)
 
 
+@functools.lru_cache(maxsize=4)
+def _singles_cdf(n: int, capacity: int) -> np.ndarray:
+    """CDF table of Hypergeom(good, n - good, capacity), one row per good in 0..n.
+
+    Row ``good`` holds P(X <= k) for k = 0..capacity, from log-factorials.
+    The pmf is exactly 0.0 off the support, so each row's running sum is
+    exactly 0.0 below its floor, max(0, capacity - (n - good)), and, divided
+    by its last entry, exactly 1.0 from its top, min(good, capacity):
+    rounding cannot draw a count outside the support. The table is
+    read-only because the cache hands the same array to every caller.
+    """
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    good = np.arange(n + 1)[:, np.newaxis]
+    k = np.arange(capacity + 1)
+    bad_k = capacity - k
+    possible = (k <= good) & (bad_k <= n - good)
+    log_pmf = (log_fact[good] - log_fact[k] - log_fact[np.where(possible, good - k, 0)]
+               + log_fact[n - good] - log_fact[bad_k]
+               - log_fact[np.where(possible, n - good - bad_k, 0)]
+               - log_fact[n] + log_fact[capacity] + log_fact[n - capacity])
+    cdf = np.cumsum(np.exp(np.where(possible, log_pmf, -np.inf)), axis=1)
+    cdf /= cdf[:, -1:]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _full_singles(cfg: SimConfig, infected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Positives among ``cfg.capacity`` singleton tests drawn from all n, per trial.
+
+    The law is Hypergeom(infected, n - infected, capacity). When the
+    ``_singles_cdf`` table has at most ``SINGLES_TABLE_MAX_CELLS`` cells, one
+    uniform per trial is inverted through its row: the draw is the number of
+    CDF entries at or below the uniform.
+    """
+    if (cfg.n + 1) * (cfg.capacity + 1) > SINGLES_TABLE_MAX_CELLS:
+        return rng.hypergeometric(infected, cfg.n - infected, cfg.capacity)
+    cdf = _singles_cdf(cfg.n, cfg.capacity)
+    return np.count_nonzero(cdf[infected] <= rng.random(infected.size)[:, np.newaxis], axis=1)
+
+
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one testing round identifies, per trial, from post-spread counts.
@@ -163,29 +222,28 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     ``expected`` is the planner's estimate of the infected count, which only
     the hybrid policy reads. Singleton tests are drawn from all n, isolated
     individuals included. Under the hybrid policy, ``saffron_layout`` shapes
-    each trial's round from its non-isolated pool; the infected that land in
-    its groups are found when alone in their group, and positive singletons
-    that a group already found are not counted twice.
+    each trial's round from its non-isolated pool; the F infected that land
+    alone in a group are found, and the leftover singletons find
+    Hypergeom(I - F, n - I + F, leftover) of the others. A round in which no
+    trial pools spends the full capacity on singletons (``_full_singles``).
     """
     susceptible, infected, isolated = counts
-    leftover = cfg.capacity
-    pooled = np.empty(0, dtype=np.int64)
-    if cfg.policy == POLICY_SAFFRON_HYBRID:
+    # saffron_group_size falls back for every pool while the estimate is below 1
+    if cfg.policy == POLICY_SAFFRON_HYBRID and expected >= 1.0:
         pools, which = np.unique(cfg.n - isolated, return_inverse=True)
         layouts = np.array([saffron_layout(pool, expected, cfg.capacity) or (0, 0, cfg.capacity)
                             for pool in pools.tolist()], dtype=np.int64)
         eta, groups, leftover = layouts[which].T
         pooled = np.flatnonzero(groups)
-    if pooled.size:
-        in_groups = rng.hypergeometric(infected[pooled], susceptible[pooled],
-                                       groups[pooled] * eta[pooled])
-        lone_groups = _lone_groups_flat if groups.max() > TREE_MAX_GROUPS else _lone_groups
-        found = lone_groups(in_groups, groups[pooled], eta[pooled], rng)
-    hits = rng.hypergeometric(infected, cfg.n - infected, leftover)
-    if pooled.size:
-        hits[pooled] += found - rng.hypergeometric(found, infected[pooled] - found,
-                                                   hits[pooled])
-    return hits
+        if pooled.size:
+            in_groups = rng.hypergeometric(infected[pooled], susceptible[pooled],
+                                           groups[pooled] * eta[pooled])
+            lone_groups = _lone_groups_flat if groups.max() > TREE_MAX_GROUPS else _lone_groups
+            found = np.zeros_like(infected)
+            found[pooled] = lone_groups(in_groups, groups[pooled], eta[pooled], rng)
+            unfound = infected - found
+            return found + rng.hypergeometric(unfound, cfg.n - unfound, leftover)
+    return _full_singles(cfg, infected, rng)
 
 
 def run_experiment(cfg: SimConfig) -> TrajectoryStats:
@@ -198,26 +256,33 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     ``_detections``; the initial infected count is Binomial(n, p). Counts
     are recorded after the testing phase of each step (step 0 is the freshly
     drawn population). A trial with no circulating infections never changes
-    again, so it leaves the arrays, and once every trial has, the remaining
-    steps are filled. Memory is O(trials + horizon), plus, in a pooled
-    round, about 24 bytes per group of every pooled trial.
+    again, so it stops drawing, and once every trial has, the remaining
+    steps are filled. Variances are summed about each step's floor(mean),
+    from deviations that are exact integers, so trials that all hold one
+    count give exactly 0 at any n. Memory is O(trials + horizon), plus a
+    per-step transient of about trials*(capacity+1) float64 when the
+    singleton draws use the ``_singles_cdf`` table (only if
+    (n+1)*(capacity+1) is at most ``SINGLES_TABLE_MAX_CELLS``), and, in a
+    pooled round, about 24 bytes per group of every pooled trial.
     """
     cfg.validate()
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     log_miss = math.log1p(-cfg.q) if cfg.q < 1.0 else -math.inf
     steps = cfg.horizon + 1
-    total = np.zeros((3, steps))
-    total_sq = np.zeros((3, steps))
-    frozen = np.zeros(3)
-    frozen_sq = np.zeros(3)
+    total = np.zeros((3, steps), dtype=np.int64)
+    square_dev = np.zeros((3, steps))
     control_time = np.full(cfg.trials, cfg.horizon, dtype=np.int64)
     censored = np.ones(cfg.trials, dtype=bool)
 
     infected = rng.binomial(cfg.n, cfg.p, size=cfg.trials)
-    counts = np.stack([cfg.n - infected, infected, np.zeros_like(infected)])
+    # every trial's counts, live trials first in their original order; a
+    # cleared trial's column keeps its final counts
+    latest = np.stack([cfg.n - infected, infected, np.zeros_like(infected)])
     trial = np.arange(cfg.trials)
+    live = cfg.trials
     for t in range(steps):
+        counts = latest[:, :live]
         if t:
             new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss))
             counts[0] -= new
@@ -225,23 +290,28 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             found = _detections(cfg, curve.pre_test_infected[t], counts, rng)
             counts[1] -= found
             counts[2] += found
-        squares = counts.astype(np.float64) ** 2
-        total[:, t] = frozen + counts.sum(axis=1)
-        total_sq[:, t] = frozen_sq + squares.sum(axis=1)
+        shift = latest.sum(axis=1, out=total[:, t]) // cfg.trials
+        dev = np.subtract(latest, shift[:, np.newaxis], dtype=np.float64)
+        np.einsum("ij,ij->i", dev, dev, out=square_dev[:, t])
         extinct = counts[1] == 0
         if extinct.any():
-            control_time[trial[extinct]] = t
-            censored[trial[extinct]] = False
-            frozen += counts[:, extinct].sum(axis=1)
-            frozen_sq += squares[:, extinct].sum(axis=1)
-            counts, trial = counts[:, ~extinct], trial[~extinct]
-            if not trial.size:
-                total[:, t + 1:] = frozen[:, np.newaxis]
-                total_sq[:, t + 1:] = frozen_sq[:, np.newaxis]
+            cleared = trial[:live][extinct]
+            control_time[cleared] = t
+            censored[cleared] = False
+            order = np.argsort(extinct, kind="stable")
+            latest[:, :live] = counts[:, order]
+            trial[:live] = trial[:live][order]
+            live -= cleared.size
+            if not live:
+                total[:, t + 1:] = total[:, t:t + 1]
+                square_dev[:, t + 1:] = square_dev[:, t:t + 1]
                 break
     means = total / cfg.trials
     if cfg.trials > 1:
-        variances = np.maximum(total_sq - cfg.trials * means ** 2, 0.0) / (cfg.trials - 1)
+        # deviations from floor(mean) sum to total mod trials, so this
+        # difference cancels nothing larger than trials
+        dev_sum = total % cfg.trials
+        variances = np.maximum(square_dev - dev_sum ** 2 / cfg.trials, 0.0) / (cfg.trials - 1)
     else:
         variances = np.zeros_like(means)
     return TrajectoryStats(

@@ -7,8 +7,8 @@ fixtures on the count-level engine of ``run_experiment``;
 ``tests/test_engine_equivalence.py`` checks that engine against the
 per-individual one. C7 and C8 read one 1000-trial experiment per policy.
 C2 and C9 read their own 20,000-trial individual-testing experiment (about
-2 s): at 1000 trials C2's 3 SE band over 301 steps failed by chance at 5 of
-100 seeds.
+2 s): at 1000 trials C2's 3 SE band over 301 steps failed by chance at 4 of
+100 seeds, at 20,000 trials at 3 of 160.
 
 C2 holds the individual-testing mean trajectory to the recursion in
 ``mean_trajectory``, which models the shrinking susceptible pool, within
@@ -270,13 +270,13 @@ def test_c9_expected_alpha_individual(many_trials_individual):
 
     ``expected_alpha`` puts the mean exposure in the exponent of (1-q) and
     grows it with the frozen-pool factor, and both approximations lower it
-    below the simulated mean. At ``SEED`` it reads 731.20 against 732.33 +/-
-    0.135, a gap of -0.15%, about 8 SE: no SE band fits a model gap, so the
+    below the simulated mean. At ``SEED`` it reads 731.20 against 732.38 +/-
+    0.135, a gap of -0.16%, about 9 SE: no SE band fits a model gap, so the
     band is relative. 0.5% is three times the measured gap, and it still
     fails when the exponent is off by 10% (a gap of about -1%). Under the
     hybrid policy the recursion's miss probabilities follow the planner's
     open-loop estimate, and the closed form overshoots the simulation by
-    9.4% (672.3 vs 614.5 at ``SEED``, 20,000 trials): that is C7's
+    9.4% (672.3 vs 614.7 at ``SEED``, 20,000 trials): that is C7's
     mechanism, so it is not asserted here.
     """
     stats = many_trials_individual

@@ -66,6 +66,20 @@ class TestRunExperiment:
         assert stats.control_censored.all()
         assert np.all(stats.control_time == 3)
 
+    @pytest.mark.parametrize("n, p, capacity", [(123_456_789, 0.0, 30),
+                                                (987_654_321, 0.0, 30),
+                                                (987_654_321, 1.0, 1000)])
+    def test_identical_trials_have_zero_variance(self, n, p, capacity):
+        # every trial takes the same path; squares near n**2 exceed float64's
+        # exact integers, so raw sums of squares would not cancel to zero
+        stats = run_experiment(SimConfig(n=n, p=p, q=0.0, capacity=capacity, horizon=3,
+                                         trials=7))
+        t = np.arange(4)
+        assert np.array_equal(stats.mean_infected, p * (n - t * capacity))
+        assert not stats.var_susceptible.any()
+        assert not stats.var_infected.any()
+        assert not stats.var_isolated.any()
+
     def test_no_spread_tracks_closed_form(self):
         # with q=0 the closed form is exact: mean within max(5% rel, 4 SE)
         cfg = SimConfig(n=1000, capacity=30, p=0.2, q=0.0, horizon=80, trials=400,

@@ -65,6 +65,29 @@ def chi2_critical(dof: int) -> float:
     return dof * (1 - a + Z_CRIT * math.sqrt(a)) ** 3
 
 
+def chi_square(observed: np.ndarray, prob: np.ndarray,
+               draws: int) -> tuple[float, float, int] | None:
+    """(statistic, critical value, dof) of observed counts against a law, None at 0 dof.
+
+    Cells expecting fewer than 5 draws are pooled into one, and that one
+    into the largest cell if it is still too small.
+    """
+    expected = prob * draws
+    small = expected < 5
+    exp_cells, obs_cells = expected[~small], observed[~small]
+    if expected[small].sum() >= 5:
+        exp_cells = np.append(exp_cells, expected[small].sum())
+        obs_cells = np.append(obs_cells, observed[small].sum())
+    else:
+        largest = exp_cells.argmax()
+        exp_cells[largest] += expected[small].sum()
+        obs_cells[largest] += observed[small].sum()
+    dof = exp_cells.size - 1
+    if dof == 0:
+        return None
+    return float(((obs_cells - exp_cells) ** 2 / exp_cells).sum()), chi2_critical(dof), dof
+
+
 def sample(sampler) -> np.ndarray:
     """(cases, DRAWS) lone-group counts, every call mixing all cases trial by trial."""
     rng = np.random.default_rng(SEED)
@@ -96,23 +119,11 @@ def test_sampler_follows_the_law(sampler):
         assert not observed[prob == 0].any(), (
             f"{sampler.__name__} {(k, g, eta)}: impossible F values drawn "
             f"{np.flatnonzero(observed * (prob == 0)).tolist()}")
-        expected = prob * DRAWS
-        # cells expecting fewer than 5 draws are pooled into one, and that one
-        # into the largest cell if it is still too small
-        small = expected < 5
-        exp_cells, obs_cells = expected[~small], observed[~small]
-        if expected[small].sum() >= 5:
-            exp_cells = np.append(exp_cells, expected[small].sum())
-            obs_cells = np.append(obs_cells, observed[small].sum())
-        else:
-            largest = exp_cells.argmax()
-            exp_cells[largest] += expected[small].sum()
-            obs_cells[largest] += observed[small].sum()
-        dof = exp_cells.size - 1
-        if dof == 0:
+        result = chi_square(observed, prob, DRAWS)
+        if result is None:
             continue
-        chi2 = float(((obs_cells - exp_cells) ** 2 / exp_cells).sum())
-        assert chi2 <= chi2_critical(dof), (
+        chi2, critical, dof = result
+        assert chi2 <= critical, (
             f"{sampler.__name__} {(k, g, eta)}: chi-square {chi2:.1f} > "
-            f"{chi2_critical(dof):.1f} on {dof} dof; mean F {found.mean():.4f}, "
+            f"{critical:.1f} on {dof} dof; mean F {found.mean():.4f}, "
             f"exact {float(prob @ np.arange(g + 1)):.4f}")

@@ -15,21 +15,27 @@ every I in 0..n, (n+1)*(capacity+1) float64, has at most
 per trial looked up in the table's row (inverse CDF; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, III.2), with a per-step
 transient of about trials*(capacity+1) cells. Larger runs call numpy's
-sampler, whose per-call argument checks cost ~60 us. The table is built
-once per (n, capacity) and cached. Beyond the table's reach an
-individual-testing step costs the same at any n: about 9,300, 3,500 and
-3,500 trials/s at n = 10^3, 10^5 and 10^6.
+sampler, whose per-call argument checks cost ~35-60 us, depending on the
+CPU. The table is built once per (n, capacity) and cached. Beyond the
+table's reach an individual-testing step costs the same at any n: about
+9,300, 3,500 and 3,500 trials/s at n = 10^3, 10^5 and 10^6.
 
-A pooled step also counts each trial's lone groups among its
-g ~ capacity / (2 ceil(log2 eta)) groups: a round of more than
-``TREE_MAX_GROUPS`` groups draws every group's infected count at once and
-corrects each trial's total exactly (``_lone_groups_flat``), a smaller one
-splits the count by hypergeometric halving (``_lone_groups``). Either way a
-round takes O(g) draws, so at a fixed capacity/n the hybrid's cost grows
-with n: about 2,300, 90 and 12 trials/s at n = 10^3, 10^5 and 10^6 (1000
-trials, capacity/n = 0.03, n*q = 0.01, 2-CPU VM). It aggregates per-step
-means and variances, extracts per-trial control times, and attaches the
-matching expected-trajectory overlay.
+A pooled step puts Hypergeom(I, S, g*eta) of each trial's infected into its
+g ~ capacity / (2 ceil(log2 eta)) groups of eta and counts F, the groups
+holding exactly one. A single group is lone when it holds one infected. A
+round whose (g+1)*(g*eta+1) table of F's law fits ``LONE_TABLE_MAX_CELLS``
+= 2^11 cells draws F with one uniform per trial from the cached
+``_lone_cdf`` table, as the singles do. A wider round draws every group's
+infected count at once and corrects each trial's total exactly
+(``_lone_groups_flat``), so it takes O(g) draws. The leftover singles read
+the ``_singles_cdf`` table of their own test count where it fits. When
+every table fits, as at n = 1000 and capacity 30, a pooled step makes one
+numpy sampler call, the in-group draw. At a fixed capacity/n the hybrid's
+cost grows with n, since the flat sampler serves every round there: about
+5,300, 105 and 12 trials/s at n = 10^3, 10^5 and 10^6 (1000, 1000 and 300
+trials, capacity/n = 0.03, n*q = 0.01, one CPU of a 2-CPU VM). It
+aggregates per-step means and variances, extracts per-trial control times,
+and attaches the matching expected-trajectory overlay.
 
 ``run_trial`` is the per-individual engine: it moves a status array
 through ``spread_phase`` and ``run_round``, so it runs the real codec. It is
@@ -39,6 +45,7 @@ the reference the count engine is tested against.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,14 +55,16 @@ from .sir import POLICY_SAFFRON_HYBRID, SimConfig, init_population, spread_phase
 from .policies import run_round, saffron_layout
 from .theory import TheoryCurve, TheoryParams, mean_trajectory
 
-# Rounds with more groups than this find their lone groups with
-# ``_lone_groups_flat``; up to it, the halving tree's few levels cost less.
-TREE_MAX_GROUPS = 8
-
-# Full-capacity singleton rounds draw from the ``_singles_cdf`` table when its
-# (n+1)*(capacity+1) float64 cells fit in this many (1 MiB); larger runs keep
+# Singleton tests draw from the ``_singles_cdf`` table when its
+# (n+1)*(tests+1) float64 cells fit in this many (1 MiB); larger runs keep
 # numpy's hypergeometric sampler, whose fixed cost per call the table avoids.
 SINGLES_TABLE_MAX_CELLS = 2 ** 17
+
+# A pooled round of g >= 2 groups of eta draws its lone-group count from the
+# ``_lone_cdf`` table when its (g+1)*(g*eta+1) float64 cells fit in this many
+# (16 KiB); wider rounds run ``_lone_groups_flat``. The cap keeps g*eta <= 681,
+# so every count of the table, at most C(g*eta, K), fits a float64 unscaled.
+LONE_TABLE_MAX_CELLS = 2 ** 11
 
 
 @dataclass
@@ -109,42 +118,16 @@ def run_trial(cfg: SimConfig, rng: np.random.Generator, curve: TheoryCurve) -> n
     return counts
 
 
-def _lone_groups(infected: np.ndarray, groups: np.ndarray, eta: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Per trial, the groups holding exactly one of ``infected`` members.
-
-    Trial j's infected members sit uniformly at random among its
-    groups[j] * eta[j] group slots. The count is split by recursive halving:
-    a node holding c infected over h groups sends Hypergeom(c, h*eta - c,
-    floor(h/2)*eta) of them to its left half. A node with c = 1 is one lone
-    group; nodes with c = 0, or with c >= 2 in a single group, find nothing.
-    """
-    lone = np.zeros(infected.size, dtype=np.int64)
-    owner = np.arange(infected.size)
-    count, width = infected, groups
-    while True:
-        lone += np.bincount(owner[count == 1], minlength=lone.size)
-        split = (count >= 2) & (width >= 2)
-        if not split.any():
-            return lone
-        owner, count, width = owner[split], count[split], width[split]
-        half = width // 2
-        size = eta[owner]
-        left = rng.hypergeometric(count, width * size - count, half * size)
-        owner = np.concatenate([owner, owner])
-        count = np.concatenate([left, count - left])
-        width = np.concatenate([half, width - half])
-
-
 def _lone_groups_flat(infected: np.ndarray, groups: np.ndarray, eta: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    """``_lone_groups`` in a few whole-array passes, however many groups a round has.
+    """Per trial, the groups holding exactly one of ``infected`` members, in whole-array passes.
 
-    Every group of trial j first gets Binomial(eta, K/(groups*eta)) members,
-    K = infected[j]. Given their total S, those members fill a uniform
-    S-subset of the trial's slots, so removing S - K of them uniformly (or
-    filling K - S of the empty slots uniformly) leaves a uniform K-subset:
-    the law ``_lone_groups`` samples. Both corrections take distinct units
+    Trial j's K = infected[j] infected members sit uniformly at random among
+    its groups[j] * eta[j] group slots. Every group first gets
+    Binomial(eta, K/(groups*eta)) members. Given their total S, those members
+    fill a uniform S-subset of the trial's slots, so removing S - K of them
+    uniformly (or filling K - S of the empty slots uniformly) leaves a
+    uniform K-subset, the law sought. Both corrections take distinct units
     uniformly from a per-group count vector, the members or the empty slots:
     draw with replacement, keep the distinct ones, redraw the shortfall.
     Transient memory peaks at about 24 bytes per group, in the binomial draw.
@@ -175,30 +158,104 @@ def _lone_groups_flat(infected: np.ndarray, groups: np.ndarray, eta: np.ndarray,
     return np.bincount(owner[members == 1], minlength=infected.size)
 
 
-@functools.lru_cache(maxsize=4)
-def _singles_cdf(n: int, capacity: int) -> np.ndarray:
-    """CDF table of Hypergeom(good, n - good, capacity), one row per good in 0..n.
+@functools.lru_cache(maxsize=256)
+def _lone_cdf(groups: int, eta: int) -> np.ndarray:
+    """CDF table of F, the lone groups among ``groups`` groups of ``eta``, one row per K.
 
-    Row ``good`` holds P(X <= k) for k = 0..capacity, from log-factorials.
+    K = 0..groups*eta infected sit uniformly at random among the groups*eta
+    slots, and F counts the groups holding exactly one. Row K holds
+    P(F <= f) for f = 0..groups, from the count of K-subsets with F = f,
+
+        C(g, f) eta^f [x^(K-f)] A(x)^(g-f),  A(x) = (1 + x)^eta - eta x:
+
+    f chosen groups hold one infected each, in eta ways each, and A counts
+    the ways a group holds any number but one. A's coefficients are
+    nonnegative, so its powers come from float convolution without
+    cancellation, and a count that is 0 is exactly 0.0. Each row's running
+    sum is therefore exactly 0.0 below its support and, divided by its last
+    entry, C(g*eta, K) up to rounding, exactly 1.0 from its top. Callers keep
+    the table within ``LONE_TABLE_MAX_CELLS`` cells, where every count fits a
+    float64 unscaled; a table takes 40-210 us to build. The cache holds at
+    most 256 tables of at most 16 KiB, 4 MiB in the worst case; hybrid runs
+    at n=1000, capacity 30 read ~125 distinct ones. The table is read-only
+    because the cache hands the same array to every caller.
+    """
+    # C(eta, j) by the multiplicative recurrence, exact in Python integers
+    a = np.array(list(itertools.accumulate(range(eta), lambda c, j: c * (eta - j) // (j + 1),
+                                           initial=1)), dtype=np.float64)
+    a[1] = 0.0
+    counts = np.zeros((groups * eta + 1, groups + 1))
+    power = np.ones(1)  # A(x)^(groups - f)
+    for f in range(groups, -1, -1):
+        counts[f:f + power.size, f] = math.comb(groups, f) * eta ** f * power
+        if f:
+            power = np.convolve(power, a)
+    cdf = np.cumsum(counts, axis=1)
+    cdf /= cdf[:, -1:]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _lone_groups_by_shape(infected: np.ndarray, shape: np.ndarray, shapes: list[tuple[int, int]],
+                          rng: np.random.Generator) -> np.ndarray:
+    """Per trial, the groups holding exactly one of ``infected`` members.
+
+    Trial j's round has ``shapes[shape[j]]`` = (groups, eta), and its
+    infected[j] members sit uniformly at random among its group slots. A
+    round of one group finds one exactly when it holds one infected. A round
+    whose ``_lone_cdf`` table fits ``LONE_TABLE_MAX_CELLS`` inverts one
+    uniform per trial through the table's row. The wider rounds of all trials
+    go to ``_lone_groups_flat`` in one call. A round of no groups finds none.
+    """
+    found = np.zeros_like(infected)
+    wide = [groups > 1 and (groups + 1) * (groups * eta + 1) > LONE_TABLE_MAX_CELLS
+            for groups, eta in shapes]
+    if any(wide):
+        on = np.array(wide)[shape]
+        groups, eta = np.array(shapes, dtype=np.int64)[shape[on]].T
+        found[on] = _lone_groups_flat(infected[on], groups, eta, rng)
+    tabled = [groups > 1 and not flat for (groups, _), flat in zip(shapes, wide)]
+    uniform = rng.random(infected.size) if any(tabled) else None
+    for k, (groups, eta) in enumerate(shapes):
+        if groups == 1 or tabled[k]:
+            on = shape == k
+            found[on] = (infected[on] == 1 if groups == 1
+                         else _invert(_lone_cdf(groups, eta), infected[on], uniform[on]))
+    return found
+
+
+@functools.lru_cache(maxsize=16)
+def _singles_cdf(n: int, tests: int) -> np.ndarray:
+    """CDF table of Hypergeom(good, n - good, tests), one row per good in 0..n.
+
+    Row ``good`` holds P(X <= k) for k = 0..tests, from log-factorials.
     The pmf is exactly 0.0 off the support, so each row's running sum is
-    exactly 0.0 below its floor, max(0, capacity - (n - good)), and, divided
-    by its last entry, exactly 1.0 from its top, min(good, capacity):
-    rounding cannot draw a count outside the support. The table is
+    exactly 0.0 below its floor, max(0, tests - (n - good)), and, divided
+    by its last entry, exactly 1.0 from its top, min(good, tests):
+    rounding cannot draw a count outside the support. A run reads the
+    capacity's table and, under the hybrid, one per distinct leftover (six at
+    n=1000, capacity 30). The cache holds at most 16 tables of at most
+    ``SINGLES_TABLE_MAX_CELLS`` cells, 16 MiB in the worst case. The table is
     read-only because the cache hands the same array to every caller.
     """
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
     good = np.arange(n + 1)[:, np.newaxis]
-    k = np.arange(capacity + 1)
-    bad_k = capacity - k
+    k = np.arange(tests + 1)
+    bad_k = tests - k
     possible = (k <= good) & (bad_k <= n - good)
     log_pmf = (log_fact[good] - log_fact[k] - log_fact[np.where(possible, good - k, 0)]
                + log_fact[n - good] - log_fact[bad_k]
                - log_fact[np.where(possible, n - good - bad_k, 0)]
-               - log_fact[n] + log_fact[capacity] + log_fact[n - capacity])
+               - log_fact[n] + log_fact[tests] + log_fact[n - tests])
     cdf = np.cumsum(np.exp(np.where(possible, log_pmf, -np.inf)), axis=1)
     cdf /= cdf[:, -1:]
     cdf.flags.writeable = False
     return cdf
+
+
+def _invert(cdf: np.ndarray, rows: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: per trial, the number of entries of its row at or below its uniform."""
+    return (cdf[rows] <= uniform[:, np.newaxis]).sum(axis=1)
 
 
 def _full_singles(cfg: SimConfig, infected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -206,13 +263,35 @@ def _full_singles(cfg: SimConfig, infected: np.ndarray, rng: np.random.Generator
 
     The law is Hypergeom(infected, n - infected, capacity). When the
     ``_singles_cdf`` table has at most ``SINGLES_TABLE_MAX_CELLS`` cells, one
-    uniform per trial is inverted through its row: the draw is the number of
-    CDF entries at or below the uniform.
+    uniform per trial is inverted through its row.
     """
     if (cfg.n + 1) * (cfg.capacity + 1) > SINGLES_TABLE_MAX_CELLS:
         return rng.hypergeometric(infected, cfg.n - infected, cfg.capacity)
-    cdf = _singles_cdf(cfg.n, cfg.capacity)
-    return np.count_nonzero(cdf[infected] <= rng.random(infected.size)[:, np.newaxis], axis=1)
+    return _invert(_singles_cdf(cfg.n, cfg.capacity), infected, rng.random(infected.size))
+
+
+def _leftover_singles(n: int, good: np.ndarray, layout: np.ndarray, tests: list[int],
+                      rng: np.random.Generator) -> np.ndarray:
+    """Positives among ``tests[layout[j]]`` singleton tests drawn from all n, per trial j.
+
+    The law is Hypergeom(good, n - good, tests). Test counts whose
+    ``_singles_cdf`` table fits ``SINGLES_TABLE_MAX_CELLS`` invert one
+    uniform per trial through the table's row; the other trials make one
+    numpy call. Zero tests find nothing.
+    """
+    found = np.zeros_like(good)
+    tabled = [0 < count and (n + 1) * (count + 1) <= SINGLES_TABLE_MAX_CELLS for count in tests]
+    if any(tabled):
+        uniform = rng.random(good.size)
+        for k, count in enumerate(tests):
+            if tabled[k]:
+                on = layout == k
+                found[on] = _invert(_singles_cdf(n, count), good[on], uniform[on])
+    sampled = [0 < count and not table for count, table in zip(tests, tabled)]
+    if any(sampled):
+        on = np.array(sampled)[layout]
+        found[on] = rng.hypergeometric(good[on], n - good[on], np.array(tests)[layout[on]])
+    return found
 
 
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
@@ -222,27 +301,36 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     ``expected`` is the planner's estimate of the infected count, which only
     the hybrid policy reads. Singleton tests are drawn from all n, isolated
     individuals included. Under the hybrid policy, ``saffron_layout`` shapes
-    each trial's round from its non-isolated pool; the F infected that land
-    alone in a group are found, and the leftover singletons find
-    Hypergeom(I - F, n - I + F, leftover) of the others. A round in which no
-    trial pools spends the full capacity on singletons (``_full_singles``).
+    each trial's round from its non-isolated pool. A pooled round puts
+    Hypergeom(I, S, groups*eta) infected into its groups, in one numpy call
+    for all trials, and finds the F of them that land alone in a group
+    (``_lone_groups_by_shape``); its leftover singletons find
+    Hypergeom(I - F, n - I + F, leftover) of the others
+    (``_leftover_singles``). Both work per distinct layout of the step, not
+    per trial. When every table fits, that in-group draw is the round's only
+    numpy sampler call. A round in which no trial pools spends the full
+    capacity on singletons (``_full_singles``).
     """
     susceptible, infected, isolated = counts
     # saffron_group_size falls back for every pool while the estimate is below 1
     if cfg.policy == POLICY_SAFFRON_HYBRID and expected >= 1.0:
         pools, which = np.unique(cfg.n - isolated, return_inverse=True)
-        layouts = np.array([saffron_layout(pool, expected, cfg.capacity) or (0, 0, cfg.capacity)
-                            for pool in pools.tolist()], dtype=np.int64)
-        eta, groups, leftover = layouts[which].T
-        pooled = np.flatnonzero(groups)
-        if pooled.size:
-            in_groups = rng.hypergeometric(infected[pooled], susceptible[pooled],
-                                           groups[pooled] * eta[pooled])
-            lone_groups = _lone_groups_flat if groups.max() > TREE_MAX_GROUPS else _lone_groups
-            found = np.zeros_like(infected)
-            found[pooled] = lone_groups(in_groups, groups[pooled], eta[pooled], rng)
-            unfound = infected - found
-            return found + rng.hypergeometric(unfound, cfg.n - unfound, leftover)
+        # the step's distinct layouts, and each pool's index among them
+        index = {}
+        of_pool = [index.setdefault(saffron_layout(pool, expected, cfg.capacity)
+                                    or (0, 0, cfg.capacity), len(index))
+                   for pool in pools.tolist()]
+        if any(groups for _, groups, _ in index):
+            layout = np.array(of_pool)[which]
+            eta, groups, _ = np.array(list(index), dtype=np.int64)[layout].T
+            pooled = groups > 0
+            in_groups = np.zeros_like(infected)
+            in_groups[pooled] = rng.hypergeometric(infected[pooled], susceptible[pooled],
+                                                   groups[pooled] * eta[pooled])
+            found = _lone_groups_by_shape(in_groups, layout,
+                                          [(groups, eta) for eta, groups, _ in index], rng)
+            return found + _leftover_singles(cfg.n, infected - found, layout,
+                                             [leftover for _, _, leftover in index], rng)
     return _full_singles(cfg, infected, rng)
 
 
@@ -261,9 +349,11 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     from deviations that are exact integers, so trials that all hold one
     count give exactly 0 at any n. Memory is O(trials + horizon), plus a
     per-step transient of about trials*(capacity+1) float64 when the
-    singleton draws use the ``_singles_cdf`` table (only if
-    (n+1)*(capacity+1) is at most ``SINGLES_TABLE_MAX_CELLS``), and, in a
-    pooled round, about 24 bytes per group of every pooled trial.
+    singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
+    trials*(g+1) float64 for a ``_lone_cdf`` lookup or about 24 bytes per
+    group of every trial in a round too wide for the table. The cached
+    tables add at most 16 MiB of singles tables and 4 MiB of lone-group
+    tables.
     """
     cfg.validate()
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sirpool import SimConfig, run_experiment
-from sirpool.harness import TREE_MAX_GROUPS, run_trial, trial_rng
+from sirpool.harness import LONE_TABLE_MAX_CELLS, run_trial, trial_rng
 from sirpool.policies import saffron_layout
 from sirpool.theory import TheoryParams, mean_trajectory
 
@@ -53,14 +53,15 @@ def control_times(infected: np.ndarray, horizon: int) -> np.ndarray:
     return np.where(extinct.any(axis=1), extinct.argmax(axis=1), horizon)
 
 
-def planner_rounds(cfg: SimConfig, counts: np.ndarray) -> tuple[int, int, int]:
-    """(pooled, fallback, widest) for the oracle trials, from their recorded counts.
+def planner_rounds(cfg: SimConfig, counts: np.ndarray) -> tuple[int, int, set[tuple[int, int]]]:
+    """(pooled, fallback, shapes) for the oracle trials, from their recorded counts.
 
-    pooled and fallback count the trial-rounds of each kind; widest is the
-    most groups any pooled round had.
+    pooled and fallback count the trial-rounds of each kind; shapes holds
+    the (groups, eta) of every pooled round.
     """
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
-    pooled = fallback = widest = 0
+    pooled = fallback = 0
+    shapes = set()
     for t in range(1, cfg.horizon + 1):
         active = counts[:, 1, t - 1] > 0
         pools, runs = np.unique(cfg.n - counts[active, 2, t - 1], return_counts=True)
@@ -70,8 +71,13 @@ def planner_rounds(cfg: SimConfig, counts: np.ndarray) -> tuple[int, int, int]:
                 fallback += trials
             else:
                 pooled += trials
-                widest = max(widest, layout[1])
-    return pooled, fallback, widest
+                shapes.add((layout[1], layout[0]))
+    return pooled, fallback, shapes
+
+
+def table_sized(groups: int, eta: int) -> bool:
+    """Whether the engine draws a (groups, eta) round's lone groups from a table."""
+    return groups > 1 and (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS
 
 
 def ks_lambda(a: np.ndarray, b: np.ndarray) -> float:
@@ -154,5 +160,14 @@ def test_hybrid_configs_pool_and_fall_back(pairs, name):
 
 def test_wide_config_runs_the_flat_sampler(pairs):
     _, oracle = pairs("hybrid-wide-rounds")
-    _, _, widest = planner_rounds(SimConfig(**CONFIGS["hybrid-wide-rounds"]), oracle)
-    assert widest > TREE_MAX_GROUPS, f"widest pooled round has {widest} groups"
+    _, _, shapes = planner_rounds(SimConfig(**CONFIGS["hybrid-wide-rounds"]), oracle)
+    wide = [shape for shape in shapes if shape[0] > 1 and not table_sized(*shape)]
+    assert wide, f"no pooled round too wide for a table: (groups, eta) in {sorted(shapes)}"
+
+
+@pytest.mark.parametrize("name", ["hybrid-pooled-first", "hybrid-fallback-first"])
+def test_small_configs_run_tables_and_single_groups(pairs, name):
+    _, oracle = pairs(name)
+    _, _, shapes = planner_rounds(SimConfig(**CONFIGS[name]), oracle)
+    assert any(table_sized(*shape) for shape in shapes), f"{name}: no table-sized round"
+    assert any(groups == 1 for groups, _ in shapes), f"{name}: no single-group round"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
-from sirpool.harness import TREE_MAX_GROUPS
+from sirpool.harness import LONE_TABLE_MAX_CELLS, SINGLES_TABLE_MAX_CELLS, _detections, \
+    _lone_cdf, _singles_cdf
 from sirpool.policies import saffron_layout
 from sirpool.theory import TheoryParams, expected_lambda_individual
 
@@ -186,9 +187,62 @@ class TestCountEngineEdges:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        _, groups, _ = saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity)
-        assert groups > TREE_MAX_GROUPS
+        eta, groups, _ = saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity)
+        assert (groups + 1) * (groups * eta + 1) > LONE_TABLE_MAX_CELLS
         assert peak < 32 * cfg.trials * groups
+
+
+class CountingGenerator:
+    """A generator that counts its sampler calls by method name."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestPooledRounds:
+    REF = dict(n=1000, capacity=30, p=0.2, q=1e-5, horizon=500, policy="saffron-hybrid")
+
+    def test_table_sized_round_makes_one_hypergeometric_call(self):
+        cfg = SimConfig(**self.REF)
+        # pools of 1000, 800 and 700 at an estimate of 100: rounds of 3 groups
+        # of 10 and 6 leftover singles, or of 5 groups of 8 or 7 and none
+        isolated = np.array([0, 200, 300, 0, 200, 300])
+        infected = np.array([90, 100, 80, 0, 300, 1])
+        counts = np.stack([cfg.n - isolated - infected, infected, isolated])
+        layouts = {saffron_layout(cfg.n - r, 100.0, cfg.capacity) for r in isolated.tolist()}
+        assert layouts == {(10, 3, 6), (8, 5, 0), (7, 5, 0)}
+        assert all((g + 1) * (g * eta + 1) <= LONE_TABLE_MAX_CELLS
+                   and (cfg.n + 1) * (left + 1) <= SINGLES_TABLE_MAX_CELLS
+                   for eta, g, left in layouts)
+        rng = CountingGenerator(3)
+        found = _detections(cfg, 100.0, counts, rng)
+        assert rng.calls.get("hypergeometric") == 1, rng.calls
+        assert np.all((0 <= found) & (found <= infected))
+        assert found[3] == 0
+
+    def test_each_table_is_built_once(self):
+        # a run reads many lone-group tables and a few singles tables; no
+        # cache may evict one that the run reads again
+        _lone_cdf.cache_clear()
+        _singles_cdf.cache_clear()
+        for seed in range(20):
+            run_experiment(SimConfig(trials=20, seed=seed, **self.REF))
+        lone, singles = _lone_cdf.cache_info(), _singles_cdf.cache_info()
+        assert lone.currsize > 50 and lone.hits > 0
+        assert lone.misses == lone.currsize < lone.maxsize
+        # the capacity's table and the leftovers 2, 6, 10, 12 and 14
+        assert singles.misses == singles.currsize == 6
+        assert singles.currsize < singles.maxsize
 
 
 class TestEmpiricalEpsilonTime:

@@ -1,4 +1,4 @@
-"""Both lone-group samplers against the exact law of F, the number of lone groups.
+"""The lone-group samplers and CDF tables against the exact law of F, the number of lone groups.
 
 K infected sit uniformly at random among the g*eta slots of g groups of
 eta. F counts the groups holding exactly one. By inclusion-exclusion over
@@ -7,8 +7,10 @@ the groups forced to hold exactly one,
     P(F = f) = C(g,f) eta^f sum_i (-1)^i C(g-f,i) eta^i C(eta(g-f-i), K-f-i) / C(g eta, K),
 
 computed here with Python integers. The formula is first checked against
-enumeration of every K-subset for small shapes, then each sampler's draws
-are checked against it by a chi-square test at a fixed seed.
+enumeration of every K-subset for small shapes. Every ``_lone_cdf`` table
+that fits ``LONE_TABLE_MAX_CELLS`` with g = 2..8 is then checked against it
+entry by entry, and each sampler's draws by a chi-square test at a fixed
+seed.
 """
 
 import itertools
@@ -17,7 +19,9 @@ import math
 import numpy as np
 import pytest
 
-from sirpool.harness import _lone_groups, _lone_groups_flat
+from sirpool import harness
+from sirpool.harness import LONE_TABLE_MAX_CELLS, _lone_cdf, _lone_groups_by_shape, \
+    _lone_groups_flat
 
 SEED = 20261018
 DRAWS = 100_000
@@ -25,7 +29,8 @@ CHUNK = 10_000  # draws per case in one call, which keeps a call's arrays small
 Z_CRIT = 3.719  # standard normal upper quantile at p = 1e-4
 
 # (K, g, eta): empty and full groups, more than half full, one group, pairs,
-# and wide rounds like those the flat sampler serves
+# and wide rounds like those the flat sampler serves; in the engine's
+# dispatch, the g >= 2 shapes up to (20, 13, 2) read a table
 CASES = [
     (0, 5, 4),
     (6, 2, 3),
@@ -40,14 +45,26 @@ CASES = [
 ]
 
 
-def lone_law(g: int, eta: int, k: int) -> list[int]:
-    """Number of K-subsets of the g*eta slots with f lone groups, for f = 0..g."""
-    counts = []
+def binomial_row(n: int) -> list[int]:
+    """C(n, j) for j = 0..n, by the multiplicative recurrence, as Python integers."""
+    return list(itertools.accumulate(range(n), lambda c, j: c * (n - j) // (j + 1), initial=1))
+
+
+def lone_law(g: int, eta: int) -> np.ndarray:
+    """Number of K-subsets of the g*eta slots with f lone groups: row K = 0..g*eta, column f.
+
+    The entries are Python integers; each inclusion-exclusion term is added
+    for every K at once, from rows of C(eta*m, j).
+    """
+    size = g * eta + 1
+    binom = [np.array(binomial_row(eta * m) + [0] * (size - eta * m - 1), dtype=object)
+             for m in range(g + 1)]
+    counts = np.zeros((size, g + 1), dtype=object)
     for f in range(g + 1):
-        total = sum((-1) ** i * math.comb(g - f, i) * eta ** i
-                    * math.comb(eta * (g - f - i), k - f - i)
-                    for i in range(g - f + 1) if k - f - i >= 0)
-        counts.append(math.comb(g, f) * eta ** f * total)
+        for i in range(g - f + 1):
+            counts[f + i:, f] += ((-1) ** i * math.comb(g - f, i) * eta ** i
+                                 * binom[g - f - i][:size - f - i])
+        counts[:, f] *= math.comb(g, f) * eta ** f
     return counts
 
 
@@ -96,23 +113,85 @@ def sample(sampler) -> np.ndarray:
     return np.concatenate(calls).T
 
 
+def by_shape(k: np.ndarray, g: np.ndarray, eta: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+    """``_lone_groups_by_shape`` as the engine calls it: each trial indexes the distinct shapes."""
+    shapes, shape = np.unique(np.stack([g, eta], axis=1), axis=0, return_inverse=True)
+    return _lone_groups_by_shape(k, shape.ravel(), [tuple(s) for s in shapes.tolist()], rng)
+
+
 @pytest.mark.parametrize("g", range(1, 5))
 @pytest.mark.parametrize("eta", range(1, 5))
 def test_law_matches_enumeration(g, eta):
+    law = lone_law(g, eta)
     for k in range(g * eta + 1):
-        assert lone_law(g, eta, k) == enumerated_law(g, eta, k), (g, eta, k)
+        assert law[k].tolist() == enumerated_law(g, eta, k), (g, eta, k)
 
 
 def test_law_sums_for_the_sampled_cases():
+    assert binomial_row(9) == [math.comb(9, j) for j in range(10)]
     for k, g, eta in CASES:
-        assert sum(lone_law(g, eta, k)) == math.comb(g * eta, k)
+        assert sum(lone_law(g, eta)[k]) == math.comb(g * eta, k)
 
 
-@pytest.mark.parametrize("sampler", [_lone_groups, _lone_groups_flat])
+def table_etas(g: int) -> range:
+    """Every eta whose (g, eta) table fits ``LONE_TABLE_MAX_CELLS``."""
+    return range(1, ((LONE_TABLE_MAX_CELLS // (g + 1) - 1) // g) + 1)
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_tables_match_the_law(g):
+    etas = table_etas(g)
+    assert (g + 1) * (g * etas[-1] + 1) <= LONE_TABLE_MAX_CELLS < (g + 1) * (g * etas[-1] + g + 1)
+    for eta in etas:
+        law = lone_law(g, eta)
+        total = law.sum(axis=1)
+        assert total.tolist() == binomial_row(g * eta)
+        exact = (law.cumsum(axis=1) / total[:, np.newaxis]).astype(np.float64)
+        # the builder itself, so the sweep does not fill the engine's cache
+        cdf = _lone_cdf.__wrapped__(g, eta)
+        assert cdf.shape == (g * eta + 1, g + 1)
+        assert not cdf.flags.writeable
+        gap = np.abs(cdf - exact).max()
+        assert gap <= 1e-12, f"(g, eta) = {(g, eta)}: table off the law by {gap:.3g}"
+        support = (law > 0).astype(bool)
+        f = np.arange(g + 1)
+        below = f < support.argmax(axis=1)[:, np.newaxis]
+        top = f >= g - support[:, ::-1].argmax(axis=1)[:, np.newaxis]
+        assert np.all(cdf[below] == 0.0), f"(g, eta) = {(g, eta)}: mass below the support"
+        assert np.all(cdf[top] == 1.0), f"(g, eta) = {(g, eta)}: a row short of 1 at its top"
+        assert np.all(np.diff(cdf, axis=1) >= 0.0), (g, eta)
+
+
+def test_table_cap_boundary(monkeypatch):
+    # no shape of g >= 2 has exactly 2^11 cells: (2, 340) has 2,043, the most
+    # that fit, and (2, 341) has 2,049, one cell over
+    assert 3 * (2 * 340 + 1) <= LONE_TABLE_MAX_CELLS == 3 * (2 * 341 + 1) - 1
+    flat_calls = []
+
+    def flat(*args):
+        flat_calls.append(args[0].size)
+        return _lone_groups_flat(*args)
+
+    monkeypatch.setattr(harness, "_lone_groups_flat", flat)
+    rng = np.random.default_rng(SEED)
+    infected = np.array([0, 1, 2, 340, 680], dtype=np.int64)
+    for eta, tabled in ((340, True), (341, False)):
+        _lone_cdf.cache_clear()
+        flat_calls.clear()
+        found = _lone_groups_by_shape(infected, np.zeros(infected.size, dtype=np.int64),
+                                      [(2, eta)], rng)
+        assert found[[0, 1, 4]].tolist() == [0, 1, 0]
+        assert _lone_cdf.cache_info().currsize == int(tabled), eta
+        assert flat_calls == ([] if tabled else [infected.size]), eta
+
+
+@pytest.mark.parametrize("sampler", [by_shape, _lone_groups_flat],
+                         ids=["_lone_groups_by_shape", "_lone_groups_flat"])
 def test_sampler_follows_the_law(sampler):
     drawn = sample(sampler)
     for (k, g, eta), found in zip(CASES, drawn):
-        law = lone_law(g, eta, k)
+        law = lone_law(g, eta)[k]
         prob = np.array([c / math.comb(g * eta, k) for c in law])
         observed = np.bincount(found, minlength=g + 1)
         assert observed.size == g + 1, f"{sampler.__name__} {(k, g, eta)}: F > g"

@@ -14,11 +14,16 @@ every I in 0..n, (n+1)*(capacity+1) float64, has at most
 ``SINGLES_TABLE_MAX_CELLS`` = 2^17 cells (1 MiB), the draw is one uniform
 per trial looked up in the table's row (inverse CDF; Devroye,
 *Non-Uniform Random Variate Generation*, 1986, III.2), with a per-step
-transient of about trials*(capacity+1) cells. Larger runs call numpy's
-sampler, whose per-call argument checks cost ~35-60 us, depending on the
-CPU. The table is built once per (n, capacity) and cached. Beyond the
+transient of about trials*(capacity+1) cells. The table is built once per
+(n, capacity) and cached. Larger runs call numpy's sampler through
+``_draw``. numpy's array call spends ~33 us on argument checks
+(``hypergeometric``; ~8 us for ``binomial``), so a draw over at most
+``SCALAR_DRAW_MAX`` = 8 trials calls the scalar sampler once per trial
+instead, at ~1.5 us (~0.8 us) a call, with the same draws. Beyond the
 table's reach an individual-testing step costs the same at any n: about
-9,300, 3,500 and 3,500 trials/s at n = 10^3, 10^5 and 10^6.
+3,900 and 4,800 trials/s at n = 10^5 and 10^6 with 1000 trials, and 83 and
+77 with 2 trials (45 and 41 through array calls alone). At n = 10^3 the
+table gives about 14,000 and 175 trials/s.
 
 A pooled step puts Hypergeom(I, S, g*eta) of each trial's infected into its
 g ~ capacity / (2 ceil(log2 eta)) groups of eta and counts F, the groups
@@ -30,12 +35,13 @@ infected count at once and corrects each trial's total exactly
 (``_lone_groups_flat``), so it takes O(g) draws. The leftover singles read
 the ``_singles_cdf`` table of their own test count where it fits. When
 every table fits, as at n = 1000 and capacity 30, a pooled step makes one
-numpy sampler call, the in-group draw. At a fixed capacity/n the hybrid's
+hypergeometric draw, the in-group one. At a fixed capacity/n the hybrid's
 cost grows with n, since the flat sampler serves every round there: about
-5,300, 105 and 12 trials/s at n = 10^3, 10^5 and 10^6 (1000, 1000 and 300
-trials, capacity/n = 0.03, n*q = 0.01, one CPU of a 2-CPU VM). It
-aggregates per-step means and variances, extracts per-trial control times,
-and attaches the matching expected-trajectory overlay.
+3,900, 105 and 13.5 trials/s at n = 10^3, 10^5 and 10^6 (1000, 1000 and 300
+trials, capacity/n = 0.03, n*q = 0.01, one CPU of a 2-CPU VM whose runs
+varied by up to ~30%). It aggregates per-step means and variances,
+extracts per-trial control times, and attaches the matching
+expected-trajectory overlay.
 
 ``run_trial`` is the per-individual engine: it moves a status array
 through ``spread_phase`` and ``run_round``, so it runs the real codec. It is
@@ -65,6 +71,11 @@ SINGLES_TABLE_MAX_CELLS = 2 ** 17
 # (16 KiB); wider rounds run ``_lone_groups_flat``. The cap keeps g*eta <= 681,
 # so every count of the table, at most C(g*eta, K), fits a float64 unscaled.
 LONE_TABLE_MAX_CELLS = 2 ** 11
+
+# A draw over at most this many trials calls numpy's sampler once per trial
+# with Python scalars (``_draw``): the array path's argument checks cost more
+# than that many scalar calls.
+SCALAR_DRAW_MAX = 8
 
 
 @dataclass
@@ -258,6 +269,24 @@ def _invert(cdf: np.ndarray, rows: np.ndarray, uniform: np.ndarray) -> np.ndarra
     return (cdf[rows] <= uniform[:, np.newaxis]).sum(axis=1)
 
 
+def _draw(sampler, *args) -> np.ndarray:
+    """``sampler(*args)`` as int64, one numpy call per element when the arrays are short.
+
+    ``sampler`` is a bound ``Generator`` method; the first argument is an
+    array, and the others are arrays of its length or scalars. Over at most
+    ``SCALAR_DRAW_MAX`` elements the sampler runs once per element, in order,
+    with Python scalars. numpy's array path runs the same C routine element by
+    element, so the draws and the generator's state after them are the same,
+    and each scalar call still checks its arguments; only the array path's
+    fixed checks are skipped.
+    """
+    size = args[0].size
+    if size > SCALAR_DRAW_MAX:
+        return sampler(*args)
+    columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+    return np.fromiter(map(sampler, *columns), dtype=np.int64, count=size)
+
+
 def _full_singles(cfg: SimConfig, infected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Positives among ``cfg.capacity`` singleton tests drawn from all n, per trial.
 
@@ -266,7 +295,7 @@ def _full_singles(cfg: SimConfig, infected: np.ndarray, rng: np.random.Generator
     uniform per trial is inverted through its row.
     """
     if (cfg.n + 1) * (cfg.capacity + 1) > SINGLES_TABLE_MAX_CELLS:
-        return rng.hypergeometric(infected, cfg.n - infected, cfg.capacity)
+        return _draw(rng.hypergeometric, infected, cfg.n - infected, cfg.capacity)
     return _invert(_singles_cdf(cfg.n, cfg.capacity), infected, rng.random(infected.size))
 
 
@@ -277,7 +306,7 @@ def _leftover_singles(n: int, good: np.ndarray, layout: np.ndarray, tests: list[
     The law is Hypergeom(good, n - good, tests). Test counts whose
     ``_singles_cdf`` table fits ``SINGLES_TABLE_MAX_CELLS`` invert one
     uniform per trial through the table's row; the other trials make one
-    numpy call. Zero tests find nothing.
+    ``_draw``. Zero tests find nothing.
     """
     found = np.zeros_like(good)
     tabled = [0 < count and (n + 1) * (count + 1) <= SINGLES_TABLE_MAX_CELLS for count in tests]
@@ -290,7 +319,7 @@ def _leftover_singles(n: int, good: np.ndarray, layout: np.ndarray, tests: list[
     sampled = [0 < count and not table for count, table in zip(tests, tabled)]
     if any(sampled):
         on = np.array(sampled)[layout]
-        found[on] = rng.hypergeometric(good[on], n - good[on], np.array(tests)[layout[on]])
+        found[on] = _draw(rng.hypergeometric, good[on], n - good[on], np.array(tests)[layout[on]])
     return found
 
 
@@ -302,13 +331,13 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     the hybrid policy reads. Singleton tests are drawn from all n, isolated
     individuals included. Under the hybrid policy, ``saffron_layout`` shapes
     each trial's round from its non-isolated pool. A pooled round puts
-    Hypergeom(I, S, groups*eta) infected into its groups, in one numpy call
+    Hypergeom(I, S, groups*eta) infected into its groups, in one ``_draw``
     for all trials, and finds the F of them that land alone in a group
     (``_lone_groups_by_shape``); its leftover singletons find
     Hypergeom(I - F, n - I + F, leftover) of the others
     (``_leftover_singles``). Both work per distinct layout of the step, not
     per trial. When every table fits, that in-group draw is the round's only
-    numpy sampler call. A round in which no trial pools spends the full
+    hypergeometric draw. A round in which no trial pools spends the full
     capacity on singletons (``_full_singles``).
     """
     susceptible, infected, isolated = counts
@@ -325,8 +354,8 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
             eta, groups, _ = np.array(list(index), dtype=np.int64)[layout].T
             pooled = groups > 0
             in_groups = np.zeros_like(infected)
-            in_groups[pooled] = rng.hypergeometric(infected[pooled], susceptible[pooled],
-                                                   groups[pooled] * eta[pooled])
+            in_groups[pooled] = _draw(rng.hypergeometric, infected[pooled], susceptible[pooled],
+                                      groups[pooled] * eta[pooled])
             found = _lone_groups_by_shape(in_groups, layout,
                                           [(groups, eta) for eta, groups, _ in index], rng)
             return found + _leftover_singles(cfg.n, infected - found, layout,
@@ -353,7 +382,13 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or about 24 bytes per
     group of every trial in a round too wide for the table. The cached
     tables add at most 16 MiB of singles tables and 4 MiB of lone-group
-    tables.
+    tables. A binomial or hypergeometric draw over at most
+    ``SCALAR_DRAW_MAX`` = 8 live trials calls numpy's scalar sampler once per
+    trial (``_draw``), with the same draws as its array call, whose fixed
+    argument checks outweigh that many scalar calls: on one CPU the array
+    call broke even with the scalar loop at about 22 elements for
+    ``hypergeometric`` (~33 us against ~1.5 us a call) and 8-12 for
+    ``binomial`` (~9 us against ~0.8 us).
     """
     cfg.validate()
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
@@ -374,7 +409,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     for t in range(steps):
         counts = latest[:, :live]
         if t:
-            new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss))
+            new = _draw(rng.binomial, counts[0], -np.expm1(counts[1] * log_miss))
             counts[0] -= new
             counts[1] += new
             found = _detections(cfg, curve.pre_test_infected[t], counts, rng)

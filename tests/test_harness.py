@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
-from sirpool.harness import LONE_TABLE_MAX_CELLS, SINGLES_TABLE_MAX_CELLS, _detections, \
-    _lone_cdf, _singles_cdf
+from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_DRAW_MAX, SINGLES_TABLE_MAX_CELLS, \
+    _detections, _lone_cdf, _singles_cdf
 from sirpool.policies import saffron_layout
 from sirpool.theory import TheoryParams, expected_lambda_individual
 
@@ -212,12 +212,12 @@ class CountingGenerator:
 class TestPooledRounds:
     REF = dict(n=1000, capacity=30, p=0.2, q=1e-5, horizon=500, policy="saffron-hybrid")
 
-    def test_table_sized_round_makes_one_hypergeometric_call(self):
+    def table_sized_round(self, copies):
         cfg = SimConfig(**self.REF)
         # pools of 1000, 800 and 700 at an estimate of 100: rounds of 3 groups
         # of 10 and 6 leftover singles, or of 5 groups of 8 or 7 and none
-        isolated = np.array([0, 200, 300, 0, 200, 300])
-        infected = np.array([90, 100, 80, 0, 300, 1])
+        isolated = np.tile([0, 200, 300, 0, 200, 300], copies)
+        infected = np.tile([90, 100, 80, 0, 300, 1], copies)
         counts = np.stack([cfg.n - isolated - infected, infected, isolated])
         layouts = {saffron_layout(cfg.n - r, 100.0, cfg.capacity) for r in isolated.tolist()}
         assert layouts == {(10, 3, 6), (8, 5, 0), (7, 5, 0)}
@@ -226,9 +226,19 @@ class TestPooledRounds:
                    for eta, g, left in layouts)
         rng = CountingGenerator(3)
         found = _detections(cfg, 100.0, counts, rng)
-        assert rng.calls.get("hypergeometric") == 1, rng.calls
         assert np.all((0 <= found) & (found <= infected))
-        assert found[3] == 0
+        assert not found[infected == 0].any()
+        return rng.calls.get("hypergeometric")
+
+    def test_table_sized_round_makes_one_hypergeometric_call(self):
+        # every trial pools; past SCALAR_DRAW_MAX trials the in-group draw is
+        # one array call, and the tables serve the rest of the round
+        assert 12 > SCALAR_DRAW_MAX
+        assert self.table_sized_round(copies=2) == 1
+
+    def test_few_trial_round_makes_one_scalar_call_per_pooled_trial(self):
+        assert 6 <= SCALAR_DRAW_MAX
+        assert self.table_sized_round(copies=1) == 6
 
     def test_each_table_is_built_once(self):
         # a run reads many lone-group tables and a few singles tables; no

@@ -21,9 +21,9 @@ transient of about trials*(capacity+1) cells. The table is built once per
 ``SCALAR_DRAW_MAX`` = 8 trials calls the scalar sampler once per trial
 instead, at ~1.5 us (~0.8 us) a call, with the same draws. Beyond the
 table's reach an individual-testing step costs the same at any n: about
-3,900 and 4,800 trials/s at n = 10^5 and 10^6 with 1000 trials, and 83 and
-77 with 2 trials (45 and 41 through array calls alone). At n = 10^3 the
-table gives about 14,000 and 175 trials/s.
+5,700 and 5,400 trials/s at n = 10^5 and 10^6 with 1000 trials, and 170
+and 165 with 2 trials. At n = 10^3 the table gives about 14,700 and 275
+trials/s.
 
 A pooled step puts Hypergeom(I, S, g*eta) of each trial's infected into its
 g ~ capacity / (2 ceil(log2 eta)) groups of eta and counts F, the groups
@@ -37,10 +37,17 @@ the ``_singles_cdf`` table of their own test count where it fits. When
 every table fits, as at n = 1000 and capacity 30, a pooled step makes one
 hypergeometric draw, the in-group one. At a fixed capacity/n the hybrid's
 cost grows with n, since the flat sampler serves every round there: about
-3,900, 105 and 13.5 trials/s at n = 10^3, 10^5 and 10^6 (1000, 1000 and 300
-trials, capacity/n = 0.03, n*q = 0.01, one CPU of a 2-CPU VM whose runs
-varied by up to ~30%). It aggregates per-step means and variances,
-extracts per-trial control times, and attaches the matching
+6,000, 135 and 16 trials/s at n = 10^3, 10^5 and 10^6 (1000, 1000 and 300
+trials, capacity/n = 0.03, n*q = 0.01, p = 0.2, horizon 500; one CPU of a
+2-CPU VM, the mean of two passes whose runs differed by up to ~35%).
+
+It aggregates per-step means and variances once per block of steps, not
+every step: each step copies every trial's counts into a (3, block, trials)
+int64 buffer, block = min(horizon + 1, max(1, ``AGGREGATE_BLOCK_CELLS`` //
+trials)) with ``AGGREGATE_BLOCK_CELLS`` = 2^15, and ``_aggregate`` sums and
+squares a full block in one pass. The copy costs ~2-4 us a step, where
+summing and squaring every step cost ~9-20 us (2 to 1000 trials). It also
+extracts per-trial control times and attaches the matching
 expected-trajectory overlay.
 
 ``run_trial`` is the per-individual engine: it moves a status array
@@ -76,6 +83,12 @@ LONE_TABLE_MAX_CELLS = 2 ** 11
 # with Python scalars (``_draw``): the array path's argument checks cost more
 # than that many scalar calls.
 SCALAR_DRAW_MAX = 8
+
+# ``run_experiment`` copies each step's counts into a (3, block, trials) int64
+# buffer and aggregates a block of steps at once (``_aggregate``); a block
+# holds at most this many cells per compartment (256 KiB), or one step when
+# trials exceed it.
+AGGREGATE_BLOCK_CELLS = 2 ** 15
 
 
 @dataclass
@@ -323,6 +336,18 @@ def _leftover_singles(n: int, good: np.ndarray, layout: np.ndarray, tests: list[
     return found
 
 
+def _layout_keys(pools: np.ndarray, expected: float, n: int) -> np.ndarray:
+    """Per pool of at most ``n``, a key that fixes its ``saffron_layout`` at an estimate >= 1.
+
+    The layout reads the pool only through eta = pool // expected and
+    pool // eta, the most groups the pool can supply, so the key is the pair
+    of them, eta * (n + 1) + pool // eta < (n + 1)^2. Pools below
+    2 * expected cannot pool; through eta = 1 each keeps a key of its own.
+    """
+    eta = np.maximum(pools // expected, 1).astype(np.int64)
+    return eta * (n + 1) + pools // eta
+
+
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one testing round identifies, per trial, from post-spread counts.
@@ -330,10 +355,11 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     ``expected`` is the planner's estimate of the infected count, which only
     the hybrid policy reads. Singleton tests are drawn from all n, isolated
     individuals included. Under the hybrid policy, ``saffron_layout`` shapes
-    each trial's round from its non-isolated pool. A pooled round puts
-    Hypergeom(I, S, groups*eta) infected into its groups, in one ``_draw``
-    for all trials, and finds the F of them that land alone in a group
-    (``_lone_groups_by_shape``); its leftover singletons find
+    each trial's round from its non-isolated pool; it runs once per distinct
+    ``_layout_keys`` key of the step, on one pool holding that key. A pooled
+    round puts Hypergeom(I, S, groups*eta) infected into its groups, in one
+    ``_draw`` for all trials, and finds the F of them that land alone in a
+    group (``_lone_groups_by_shape``); its leftover singletons find
     Hypergeom(I - F, n - I + F, leftover) of the others
     (``_leftover_singles``). Both work per distinct layout of the step, not
     per trial. When every table fits, that in-group draw is the round's only
@@ -343,14 +369,16 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     susceptible, infected, isolated = counts
     # saffron_group_size falls back for every pool while the estimate is below 1
     if cfg.policy == POLICY_SAFFRON_HYBRID and expected >= 1.0:
-        pools, which = np.unique(cfg.n - isolated, return_inverse=True)
-        # the step's distinct layouts, and each pool's index among them
+        pools = cfg.n - isolated
+        _, first, which = np.unique(_layout_keys(pools, expected, cfg.n), return_index=True,
+                                    return_inverse=True)
+        # the step's distinct layouts, and each key's index among them
         index = {}
-        of_pool = [index.setdefault(saffron_layout(pool, expected, cfg.capacity)
-                                    or (0, 0, cfg.capacity), len(index))
-                   for pool in pools.tolist()]
+        of_key = [index.setdefault(saffron_layout(pool, expected, cfg.capacity)
+                                   or (0, 0, cfg.capacity), len(index))
+                  for pool in pools[first].tolist()]
         if any(groups for _, groups, _ in index):
-            layout = np.array(of_pool)[which]
+            layout = np.array(of_key)[which]
             eta, groups, _ = np.array(list(index), dtype=np.int64)[layout].T
             pooled = groups > 0
             in_groups = np.zeros_like(infected)
@@ -361,6 +389,19 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
             return found + _leftover_singles(cfg.n, infected - found, layout,
                                              [leftover for _, _, leftover in index], rng)
     return _full_singles(cfg, infected, rng)
+
+
+def _aggregate(block: np.ndarray, total: np.ndarray, square_dev: np.ndarray) -> None:
+    """Sum a (3, steps, trials) ``block`` of counts over its trials, step by step.
+
+    ``total`` gets each compartment's sum and ``square_dev`` the sum of its
+    squared deviations from floor(mean), both (3, steps). The deviations
+    are exact integers, so the squares add up exactly below 2^53, in any
+    order.
+    """
+    shift = block.sum(axis=2, out=total) // block.shape[2]
+    dev = np.subtract(block, shift[:, :, np.newaxis], dtype=np.float64)
+    np.einsum("ijk,ijk->ij", dev, dev, out=square_dev)
 
 
 def run_experiment(cfg: SimConfig) -> TrajectoryStats:
@@ -374,13 +415,19 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     are recorded after the testing phase of each step (step 0 is the freshly
     drawn population). A trial with no circulating infections never changes
     again, so it stops drawing, and once every trial has, the remaining
-    steps are filled. Variances are summed about each step's floor(mean),
-    from deviations that are exact integers, so trials that all hold one
-    count give exactly 0 at any n. Memory is O(trials + horizon), plus a
-    per-step transient of about trials*(capacity+1) float64 when the
-    singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
-    trials*(g+1) float64 for a ``_lone_cdf`` lookup or about 24 bytes per
-    group of every trial in a round too wide for the table. The cached
+    steps are filled. Each step's counts of all trials wait in a
+    (3, block, trials) buffer, and a full block, or the steps held when the
+    loop ends, is aggregated at once (``_aggregate``); block is
+    min(horizon + 1, max(1, ``AGGREGATE_BLOCK_CELLS`` // trials)). Variances
+    are summed about each step's floor(mean), from deviations that are
+    exact integers, so trials that all hold one count give exactly 0 at any
+    n, and the sums do not depend on the block length while they stay below
+    2^53. Memory is O(trials + horizon), plus the buffer and its float64
+    deviations, together at most 1.5 MiB or, past 2^15 trials, 48 bytes per
+    trial, plus a per-step transient of about trials*(capacity+1) float64
+    when the singleton draws use a ``_singles_cdf`` table, and, in a pooled
+    round, trials*(g+1) float64 for a ``_lone_cdf`` lookup or about 24 bytes
+    per group of every trial in a round too wide for the table. The cached
     tables add at most 16 MiB of singles tables and 4 MiB of lone-group
     tables. A binomial or hypergeometric draw over at most
     ``SCALAR_DRAW_MAX`` = 8 live trials calls numpy's scalar sampler once per
@@ -397,6 +444,10 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
+    block = min(steps, max(1, AGGREGATE_BLOCK_CELLS // cfg.trials))
+    # the counts of steps start..t, aggregated when the block is full or the loop ends
+    buffer = np.empty((3, block, cfg.trials), dtype=np.int64)
+    start = 0
     control_time = np.full(cfg.trials, cfg.horizon, dtype=np.int64)
     censored = np.ones(cfg.trials, dtype=bool)
 
@@ -407,6 +458,9 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     trial = np.arange(cfg.trials)
     live = cfg.trials
     for t in range(steps):
+        if t - start == block:
+            _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
+            start = t
         counts = latest[:, :live]
         if t:
             new = _draw(rng.binomial, counts[0], -np.expm1(counts[1] * log_miss))
@@ -415,11 +469,9 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             found = _detections(cfg, curve.pre_test_infected[t], counts, rng)
             counts[1] -= found
             counts[2] += found
-        shift = latest.sum(axis=1, out=total[:, t]) // cfg.trials
-        dev = np.subtract(latest, shift[:, np.newaxis], dtype=np.float64)
-        np.einsum("ij,ij->i", dev, dev, out=square_dev[:, t])
-        extinct = counts[1] == 0
-        if extinct.any():
+        buffer[:, t - start] = latest
+        if not counts[1].all():
+            extinct = counts[1] == 0
             cleared = trial[:live][extinct]
             control_time[cleared] = t
             censored[cleared] = False
@@ -428,9 +480,10 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             trial[:live] = trial[:live][order]
             live -= cleared.size
             if not live:
-                total[:, t + 1:] = total[:, t:t + 1]
-                square_dev[:, t + 1:] = square_dev[:, t:t + 1]
                 break
+    _aggregate(buffer[:, :t + 1 - start], total[:, start:t + 1], square_dev[:, start:t + 1])
+    total[:, t + 1:] = total[:, t:t + 1]
+    square_dev[:, t + 1:] = square_dev[:, t:t + 1]
     means = total / cfg.trials
     if cfg.trials > 1:
         # deviations from floor(mean) sum to total mod trials, so this

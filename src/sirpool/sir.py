@@ -89,8 +89,8 @@ class SimConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass

@@ -39,6 +39,14 @@ class TestMain:
         assert exc.value.code != 0
         assert "p must be in [0, 1]" in capsys.readouterr().err
 
+    def test_rejects_infinite_epsilon_before_running(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + ["--epsilon", "inf", "--csv", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "epsilon must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rejects_unknown_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(FAST + ["--csv", str(tmp_path / "x.csv"), "--frobnicate"])

@@ -1,11 +1,16 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
+from sirpool import harness
 from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_DRAW_MAX, SINGLES_TABLE_MAX_CELLS, \
-    _detections, _lone_cdf, _singles_cdf
+    _detections, _layout_keys, _lone_cdf, _singles_cdf
 from sirpool.policies import saffron_layout
 from sirpool.theory import TheoryParams, expected_lambda_individual
 
@@ -253,6 +258,111 @@ class TestPooledRounds:
         # the capacity's table and the leftovers 2, 6, 10, 12 and 14
         assert singles.misses == singles.currsize == 6
         assert singles.currsize < singles.maxsize
+
+    def test_one_layout_per_key(self, monkeypatch):
+        # at an estimate of 100, pools 1000..1009 share eta = 10 and
+        # pool // eta = 100, 800 and 805 share 8 and 100, and 700 stands alone
+        cfg = SimConfig(**self.REF)
+        pools = np.array([1000, 1009, 800, 1004, 805, 700, 1000])
+        infected = np.array([90, 100, 80, 0, 300, 1, 5])
+        counts = np.stack([pools - infected, infected, cfg.n - pools])
+        calls = []
+        monkeypatch.setattr(harness, "saffron_layout",
+                            lambda pool, *args: calls.append(pool) or saffron_layout(pool, *args))
+        _detections(cfg, 100.0, counts, np.random.default_rng(0))
+        assert sorted(calls) == [700, 800, 1000]
+
+    @given(st.integers(1, 10 ** 9 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_pools_sharing_a_key_share_a_layout(self, n, capacity_at, expected_at, center_at):
+        # capacity and the estimate log-uniform in [1, n], so every regime
+        # of the group-size rule is reached: fallback, groups capped by the
+        # capacity, and groups capped by what the pool supplies
+        capacity = max(1, min(n, round(n ** capacity_at)))
+        expected = max(1.0, n ** expected_at)
+        center = round(n * center_at)
+        pools = np.arange(max(0, center - 200), min(n, center + 200) + 1)
+        _, first, which = np.unique(_layout_keys(pools, np.float64(expected), n),
+                                    return_index=True, return_inverse=True)
+        layouts = [saffron_layout(pool, expected, capacity) for pool in pools.tolist()]
+        for k, key in enumerate(which.tolist()):
+            assert layouts[k] == layouts[first[key]], (pools[k], pools[first[key]])
+
+
+def ndarray_fields(stats):
+    return {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+            if isinstance(getattr(stats, f.name), np.ndarray)}
+
+
+def first_seed(premise, **kwargs):
+    """The first seed in 0..199 whose default run of small_cfg(**kwargs) meets ``premise``."""
+    for seed in range(200):
+        if premise(run_experiment(small_cfg(seed=seed, **kwargs))):
+            return seed
+    raise AssertionError("no seed in 0..199 meets the premise")
+
+
+def cleared_at(stats):
+    """The step after which no trial holds infections, or None if a trial is censored."""
+    return None if stats.control_censored.any() else int(stats.control_time.max())
+
+
+class TestBlockAggregation:
+    """Buffered steps aggregate to the same arrays whatever the block length."""
+
+    BLOCKS = (1, 2, 7)
+    CASES = {
+        # the last trial clears at step 13 or 27, the end of a block of 1, 2 and 7
+        "clears at a block end": (
+            dict(horizon=30),
+            lambda stats: cleared_at(stats) is not None and (cleared_at(stats) + 1) % 14 == 0),
+        # ... or at a step that ends no block of 2 or 7
+        "clears mid-block": (
+            dict(horizon=30),
+            lambda stats: cleared_at(stats) is not None
+            and math.gcd(cleared_at(stats) + 1, 14) == 1),
+        # one test per round cannot finish; 26 steps leave a last block of 5 for blocks of 7
+        "all censored": (dict(capacity=1, p=0.5), lambda stats: stats.control_censored.all()),
+    }
+
+    def run_in_blocks(self, monkeypatch, cfg, cells):
+        """The run with ``AGGREGATE_BLOCK_CELLS`` = cells, and the steps each block aggregated."""
+        sizes = []
+        aggregate = harness._aggregate
+        monkeypatch.setattr(harness, "AGGREGATE_BLOCK_CELLS", cells)
+        monkeypatch.setattr(harness, "_aggregate", lambda block, *out:
+                            sizes.append(block.shape[1]) or aggregate(block, *out))
+        return run_experiment(cfg), sizes
+
+    def assert_same(self, default, blocked):
+        for name, array in ndarray_fields(default).items():
+            other = getattr(blocked, name)
+            assert array.dtype == other.dtype and np.array_equal(array, other), name
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_blocks_match_the_default_run(self, monkeypatch, policy, case, block):
+        overrides, premise = self.CASES[case]
+        cfg = small_cfg(policy=policy, seed=first_seed(premise, policy=policy, **overrides),
+                        **overrides)
+        default = run_experiment(cfg)
+        # the default block spans the whole horizon at these few trials
+        assert harness.AGGREGATE_BLOCK_CELLS // cfg.trials > cfg.horizon
+        blocked, sizes = self.run_in_blocks(monkeypatch, cfg, block * cfg.trials)
+        ran = cfg.horizon + 1 if cleared_at(default) is None else cleared_at(default) + 1
+        assert sum(sizes) == ran
+        assert set(sizes[:-1]) <= {block} and 0 < sizes[-1] <= block
+        self.assert_same(default, blocked)
+
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_more_trials_than_cells_aggregate_every_step(self, monkeypatch, policy):
+        cfg = small_cfg(policy=policy, horizon=30)
+        default = run_experiment(cfg)
+        blocked, sizes = self.run_in_blocks(monkeypatch, cfg, cfg.trials - 1)
+        assert set(sizes) == {1}
+        self.assert_same(default, blocked)
 
 
 class TestEmpiricalEpsilonTime:

@@ -43,6 +43,8 @@ class TestConfigValidation:
         {"trials": 0},
         {"policy": "pooled"},
         {"epsilon": 0.0},
+        {"epsilon": float("inf")},
+        {"epsilon": float("nan")},
         {"n": 10.5},
         {"capacity": True},
         {"horizon": 5.0},

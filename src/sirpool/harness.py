@@ -30,16 +30,17 @@ g ~ capacity / (2 ceil(log2 eta)) groups of eta and counts F, the groups
 holding exactly one. A single group is lone when it holds one infected. A
 round whose (g+1)*(g*eta+1) table of F's law fits ``LONE_TABLE_MAX_CELLS``
 = 2^11 cells draws F with one uniform per trial from the cached
-``_lone_cdf`` table, as the singles do. A wider round draws every group's
-infected count at once and corrects each trial's total exactly
-(``_lone_groups_flat``), so it takes O(g) draws. The leftover singles read
-the ``_singles_cdf`` table of their own test count where it fits. When
-every table fits, as at n = 1000 and capacity 30, a pooled step makes one
-hypergeometric draw, the in-group one. At a fixed capacity/n the hybrid's
-cost grows with n, since the flat sampler serves every round there: about
-6,000, 135 and 16 trials/s at n = 10^3, 10^5 and 10^6 (1000, 1000 and 300
-trials, capacity/n = 0.03, n*q = 0.01, p = 0.2, horizon 500; one CPU of a
-2-CPU VM, the mean of two passes whose runs differed by up to ~35%).
+``_lone_cdf`` table, as the singles do. A wider round draws each trial's
+group counts from numpy's multivariate hypergeometric sampler
+(``_lone_groups_wide``), one call per trial at ~10 us plus O(g*eta) or O(g)
+work. The leftover singles read the ``_singles_cdf`` table of their own
+test count where it fits. When every table fits, as at n = 1000 and
+capacity 30, a pooled step makes one hypergeometric draw, the in-group
+one. At a fixed capacity/n the hybrid's cost grows with n, since a wide
+round's groups grow with the capacity: about 5,900, 210 and 39 trials/s at
+n = 10^3, 10^5 and 10^6 (1000, 1000 and 300 trials, capacity/n = 0.03,
+n*q = 0.01, p = 0.2, horizon 500; one CPU of a 2-CPU VM, the mean of two
+passes whose runs differed by up to ~15%).
 
 It aggregates per-step means and variances once per block of steps, not
 every step: each step copies every trial's counts into a (3, block, trials)
@@ -75,9 +76,18 @@ SINGLES_TABLE_MAX_CELLS = 2 ** 17
 
 # A pooled round of g >= 2 groups of eta draws its lone-group count from the
 # ``_lone_cdf`` table when its (g+1)*(g*eta+1) float64 cells fit in this many
-# (16 KiB); wider rounds run ``_lone_groups_flat``. The cap keeps g*eta <= 681,
-# so every count of the table, at most C(g*eta, K), fits a float64 unscaled.
+# (16 KiB); wider rounds run ``_lone_groups_wide``, one multivariate
+# hypergeometric draw per trial. The cap keeps g*eta <= 681, so every count of
+# the table, at most C(g*eta, K), fits a float64 unscaled.
 LONE_TABLE_MAX_CELLS = 2 ** 11
+
+# ``_lone_groups_wide`` draws with numpy's "marginals" method, one univariate
+# hypergeometric per group, from this eta up, and below it with "count", a
+# partial shuffle of all g*eta slots. On one CPU, "count" took ~20 us against
+# ~90 us at (K, g, eta) = (600, 500, 8); the two tied near eta = 40 at
+# g = 250 and near eta = 53 at g = 2,500. Replaying the wide rounds of real
+# runs at n = 10^5 and 10^6, every threshold from 37 to 57 came within ~8%.
+MARGINALS_MIN_ETA = 41
 
 # A draw over at most this many trials calls numpy's sampler once per trial
 # with Python scalars (``_draw``): the array path's argument checks cost more
@@ -142,46 +152,6 @@ def run_trial(cfg: SimConfig, rng: np.random.Generator, curve: TheoryCurve) -> n
     return counts
 
 
-def _lone_groups_flat(infected: np.ndarray, groups: np.ndarray, eta: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Per trial, the groups holding exactly one of ``infected`` members, in whole-array passes.
-
-    Trial j's K = infected[j] infected members sit uniformly at random among
-    its groups[j] * eta[j] group slots. Every group first gets
-    Binomial(eta, K/(groups*eta)) members. Given their total S, those members
-    fill a uniform S-subset of the trial's slots, so removing S - K of them
-    uniformly (or filling K - S of the empty slots uniformly) leaves a
-    uniform K-subset, the law sought. Both corrections take distinct units
-    uniformly from a per-group count vector, the members or the empty slots:
-    draw with replacement, keep the distinct ones, redraw the shortfall.
-    Transient memory peaks at about 24 bytes per group, in the binomial draw.
-    """
-    members = rng.binomial(np.repeat(eta, groups), np.repeat(infected / (groups * eta), groups))
-    starts = np.cumsum(groups) - groups
-    excess = np.add.reduceat(members, starts) - infected
-    owner = np.repeat(np.arange(infected.size, dtype=np.int32), groups)
-    if excess.any():
-        # count the empty slots instead where members must be added
-        fill = np.repeat(excess < 0, groups)
-        np.subtract(eta[owner], members, out=members, where=fill)
-        ends = np.cumsum(members)
-        first = ends[starts] - members[starts]
-        span = ends[starts + groups - 1] - first
-        need = np.abs(excess)
-        picked = np.empty(0, dtype=np.int64)
-        short = need
-        while short.any():
-            who = np.repeat(np.arange(need.size), short)
-            picked = np.sort(np.concatenate([picked, first[who] + rng.integers(0, span[who])]))
-            picked = picked[np.diff(picked, prepend=-1) != 0]
-            hit = np.searchsorted(ends, picked, side="right")
-            short = need - np.bincount(owner[hit], minlength=need.size)
-        del ends
-        members -= np.bincount(hit, minlength=members.size)
-        np.subtract(eta[owner], members, out=members, where=fill)
-    return np.bincount(owner[members == 1], minlength=infected.size)
-
-
 @functools.lru_cache(maxsize=256)
 def _lone_cdf(groups: int, eta: int) -> np.ndarray:
     """CDF table of F, the lone groups among ``groups`` groups of ``eta``, one row per K.
@@ -220,6 +190,23 @@ def _lone_cdf(groups: int, eta: int) -> np.ndarray:
     return cdf
 
 
+def _lone_groups_wide(infected: np.ndarray, groups: int, eta: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
+
+    Trial j's K = infected[j] members sit uniformly at random among the
+    groups * eta slots, so the groups' member counts follow the multivariate
+    hypergeometric law of K draws from ``groups`` colours of ``eta`` each.
+    numpy draws one such vector per trial, holding one trial's counts at a
+    time, with the method that is faster at this eta
+    (``MARGINALS_MIN_ETA``).
+    """
+    slots = np.full(groups, eta)
+    method = "marginals" if eta >= MARGINALS_MIN_ETA else "count"
+    return np.fromiter((np.count_nonzero(rng.multivariate_hypergeometric(slots, k, method=method) == 1)
+                        for k in infected.tolist()), dtype=np.int64, count=infected.size)
+
+
 def _lone_groups_by_shape(infected: np.ndarray, shape: np.ndarray, shapes: list[tuple[int, int]],
                           rng: np.random.Generator) -> np.ndarray:
     """Per trial, the groups holding exactly one of ``infected`` members.
@@ -228,23 +215,23 @@ def _lone_groups_by_shape(infected: np.ndarray, shape: np.ndarray, shapes: list[
     infected[j] members sit uniformly at random among its group slots. A
     round of one group finds one exactly when it holds one infected. A round
     whose ``_lone_cdf`` table fits ``LONE_TABLE_MAX_CELLS`` inverts one
-    uniform per trial through the table's row. The wider rounds of all trials
-    go to ``_lone_groups_flat`` in one call. A round of no groups finds none.
+    uniform per trial through the table's row. A wider round draws each
+    trial's group counts (``_lone_groups_wide``). A round of no groups finds
+    none.
     """
     found = np.zeros_like(infected)
-    wide = [groups > 1 and (groups + 1) * (groups * eta + 1) > LONE_TABLE_MAX_CELLS
-            for groups, eta in shapes]
-    if any(wide):
-        on = np.array(wide)[shape]
-        groups, eta = np.array(shapes, dtype=np.int64)[shape[on]].T
-        found[on] = _lone_groups_flat(infected[on], groups, eta, rng)
-    tabled = [groups > 1 and not flat for (groups, _), flat in zip(shapes, wide)]
+    tabled = [groups > 1 and (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS
+              for groups, eta in shapes]
     uniform = rng.random(infected.size) if any(tabled) else None
     for k, (groups, eta) in enumerate(shapes):
-        if groups == 1 or tabled[k]:
+        if groups:
             on = shape == k
-            found[on] = (infected[on] == 1 if groups == 1
-                         else _invert(_lone_cdf(groups, eta), infected[on], uniform[on]))
+            if groups == 1:
+                found[on] = infected[on] == 1
+            elif tabled[k]:
+                found[on] = _invert(_lone_cdf(groups, eta), infected[on], uniform[on])
+            else:
+                found[on] = _lone_groups_wide(infected[on], groups, eta, rng)
     return found
 
 
@@ -426,8 +413,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     deviations, together at most 1.5 MiB or, past 2^15 trials, 48 bytes per
     trial, plus a per-step transient of about trials*(capacity+1) float64
     when the singleton draws use a ``_singles_cdf`` table, and, in a pooled
-    round, trials*(g+1) float64 for a ``_lone_cdf`` lookup or about 24 bytes
-    per group of every trial in a round too wide for the table. The cached
+    round, trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too
+    wide for the table, one trial's g group counts at a time. The cached
     tables add at most 16 MiB of singles tables and 4 MiB of lone-group
     tables. A binomial or hypergeometric draw over at most
     ``SCALAR_DRAW_MAX`` = 8 live trials calls numpy's scalar sampler once per

@@ -39,8 +39,8 @@ CONFIGS = {
     "hybrid-fallback-first": dict(n=100, capacity=30, p=0.6, q=1e-3, horizon=40,
                                   policy="saffron-hybrid"),
     # rounds of 128 and 64 groups of 2-4 with more than one infected per
-    # group on average, so the flat lone-group sampler runs and its
-    # correction has work to do
+    # group on average, too wide for a lone-group table, so each trial's
+    # group counts are drawn (``_lone_groups_wide``)
     "hybrid-wide-rounds": dict(n=400, capacity=256, p=0.4, q=2e-4, horizon=30,
                                policy="saffron-hybrid"),
 }
@@ -158,7 +158,7 @@ def test_hybrid_configs_pool_and_fall_back(pairs, name):
     assert pooled > 0 and fallback > 0, f"{name}: pooled {pooled}, fallback {fallback}"
 
 
-def test_wide_config_runs_the_flat_sampler(pairs):
+def test_wide_config_runs_wide_rounds(pairs):
     _, oracle = pairs("hybrid-wide-rounds")
     _, _, shapes = planner_rounds(SimConfig(**CONFIGS["hybrid-wide-rounds"]), oracle)
     wide = [shape for shape in shapes if shape[0] > 1 and not table_sized(*shape)]

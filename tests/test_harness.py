@@ -180,10 +180,11 @@ class TestCountEngineEdges:
         assert peak < 12 * 2 ** 20
 
     def test_hybrid_memory_stays_linear(self):
-        # every pooled round here has 500-750 groups, so the flat lone-group
-        # sampler runs; it holds about 24 B per group of a round, so
-        # 500 trials * 750 groups take ~9 MB, where per-individual status
-        # arrays would take n * trials = 50 MB
+        # every pooled round here has 500-750 groups, too many for a table, so
+        # each trial draws its group counts on its own and holds at most 750 of
+        # them at a time; one (trials, groups) int64 array would take 3 MB and
+        # per-individual status arrays n * trials = 50 MB. Run on its own, it
+        # peaked at ~1.1 MiB
         cfg = SimConfig(n=100_000, capacity=3000, q=1e-7, horizon=10, trials=500,
                         policy="saffron-hybrid")
         tracemalloc.start()
@@ -194,7 +195,7 @@ class TestCountEngineEdges:
             tracemalloc.stop()
         eta, groups, _ = saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity)
         assert (groups + 1) * (groups * eta + 1) > LONE_TABLE_MAX_CELLS
-        assert peak < 32 * cfg.trials * groups
+        assert peak < 2 * 2 ** 20
 
 
 class CountingGenerator:

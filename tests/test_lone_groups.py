@@ -9,7 +9,10 @@ the groups forced to hold exactly one,
 computed here with Python integers. The formula is first checked against
 enumeration of every K-subset for small shapes. Every ``_lone_cdf`` table
 that fits ``LONE_TABLE_MAX_CELLS`` with g = 2..8 is then checked against it
-entry by entry, and each sampler's draws by a chi-square test at a fixed
+entry by entry. The draws of the engine's dispatch (``_lone_groups_by_shape``)
+and of the per-trial multivariate hypergeometric sampler
+(``_lone_groups_wide``, run on every case whatever its width, with each of
+numpy's two methods on some) are checked by a chi-square test at a fixed
 seed.
 """
 
@@ -20,17 +23,22 @@ import numpy as np
 import pytest
 
 from sirpool import harness
-from sirpool.harness import LONE_TABLE_MAX_CELLS, _lone_cdf, _lone_groups_by_shape, \
-    _lone_groups_flat
+from sirpool.harness import LONE_TABLE_MAX_CELLS, MARGINALS_MIN_ETA, _lone_cdf, \
+    _lone_groups_by_shape, _lone_groups_wide
 
 SEED = 20261018
 DRAWS = 100_000
+# ``_lone_groups_wide`` makes one numpy call per trial (~10 us), so its check
+# on every case draws fewer; the engine's dispatch, checked at DRAWS, sends
+# it the four wide cases
+WIDE_DRAWS = 20_000
 CHUNK = 10_000  # draws per case in one call, which keeps a call's arrays small
 Z_CRIT = 3.719  # standard normal upper quantile at p = 1e-4
 
 # (K, g, eta): empty and full groups, more than half full, one group, pairs,
-# and wide rounds like those the flat sampler serves; in the engine's
-# dispatch, the g >= 2 shapes up to (20, 13, 2) read a table
+# wide rounds like those ``_lone_groups_wide`` serves, and eta on each side
+# of ``MARGINALS_MIN_ETA``; in the engine's dispatch, the g >= 2 shapes up to
+# (20, 13, 2) read a table and the four after it are too wide for one
 CASES = [
     (0, 5, 4),
     (6, 2, 3),
@@ -42,6 +50,8 @@ CASES = [
     (20, 13, 2),
     (19, 16, 8),
     (70, 64, 2),
+    (12, 8, 40),
+    (12, 8, 41),
 ]
 
 
@@ -105,11 +115,11 @@ def chi_square(observed: np.ndarray, prob: np.ndarray,
     return float(((obs_cells - exp_cells) ** 2 / exp_cells).sum()), chi2_critical(dof), dof
 
 
-def sample(sampler) -> np.ndarray:
-    """(cases, DRAWS) lone-group counts, every call mixing all cases trial by trial."""
+def sample(sampler, draws: int) -> np.ndarray:
+    """(cases, draws) lone-group counts, every call mixing all cases trial by trial."""
     rng = np.random.default_rng(SEED)
     k, g, eta = (np.tile(np.array(column, dtype=np.int64), CHUNK) for column in zip(*CASES))
-    calls = [sampler(k, g, eta, rng).reshape(CHUNK, len(CASES)) for _ in range(DRAWS // CHUNK)]
+    calls = [sampler(k, g, eta, rng).reshape(CHUNK, len(CASES)) for _ in range(draws // CHUNK)]
     return np.concatenate(calls).T
 
 
@@ -118,6 +128,16 @@ def by_shape(k: np.ndarray, g: np.ndarray, eta: np.ndarray,
     """``_lone_groups_by_shape`` as the engine calls it: each trial indexes the distinct shapes."""
     shapes, shape = np.unique(np.stack([g, eta], axis=1), axis=0, return_inverse=True)
     return _lone_groups_by_shape(k, shape.ravel(), [tuple(s) for s in shapes.tolist()], rng)
+
+
+def wide(k: np.ndarray, g: np.ndarray, eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``_lone_groups_wide`` on every trial, whatever its width: one call per distinct shape."""
+    shapes, shape = np.unique(np.stack([g, eta], axis=1), axis=0, return_inverse=True)
+    found = np.empty_like(k)
+    for index, (groups, size) in enumerate(shapes.tolist()):
+        on = shape.ravel() == index
+        found[on] = _lone_groups_wide(k[on], groups, size, rng)
+    return found
 
 
 @pytest.mark.parametrize("g", range(1, 5))
@@ -130,6 +150,9 @@ def test_law_matches_enumeration(g, eta):
 
 def test_law_sums_for_the_sampled_cases():
     assert binomial_row(9) == [math.comb(9, j) for j in range(10)]
+    # both of numpy's methods run on some case with more than one group
+    etas = {eta for _, g, eta in CASES if g > 1}
+    assert min(etas) < MARGINALS_MIN_ETA <= max(etas)
     for k, g, eta in CASES:
         assert sum(lone_law(g, eta)[k]) == math.comb(g * eta, k)
 
@@ -167,29 +190,29 @@ def test_table_cap_boundary(monkeypatch):
     # no shape of g >= 2 has exactly 2^11 cells: (2, 340) has 2,043, the most
     # that fit, and (2, 341) has 2,049, one cell over
     assert 3 * (2 * 340 + 1) <= LONE_TABLE_MAX_CELLS == 3 * (2 * 341 + 1) - 1
-    flat_calls = []
+    wide_calls = []
 
-    def flat(*args):
-        flat_calls.append(args[0].size)
-        return _lone_groups_flat(*args)
+    def counted(*args):
+        wide_calls.append(args[0].size)
+        return _lone_groups_wide(*args)
 
-    monkeypatch.setattr(harness, "_lone_groups_flat", flat)
+    monkeypatch.setattr(harness, "_lone_groups_wide", counted)
     rng = np.random.default_rng(SEED)
     infected = np.array([0, 1, 2, 340, 680], dtype=np.int64)
     for eta, tabled in ((340, True), (341, False)):
         _lone_cdf.cache_clear()
-        flat_calls.clear()
+        wide_calls.clear()
         found = _lone_groups_by_shape(infected, np.zeros(infected.size, dtype=np.int64),
                                       [(2, eta)], rng)
         assert found[[0, 1, 4]].tolist() == [0, 1, 0]
         assert _lone_cdf.cache_info().currsize == int(tabled), eta
-        assert flat_calls == ([] if tabled else [infected.size]), eta
+        assert wide_calls == ([] if tabled else [infected.size]), eta
 
 
-@pytest.mark.parametrize("sampler", [by_shape, _lone_groups_flat],
-                         ids=["_lone_groups_by_shape", "_lone_groups_flat"])
-def test_sampler_follows_the_law(sampler):
-    drawn = sample(sampler)
+@pytest.mark.parametrize("sampler, draws", [(by_shape, DRAWS), (wide, WIDE_DRAWS)],
+                         ids=["_lone_groups_by_shape", "_lone_groups_wide"])
+def test_sampler_follows_the_law(sampler, draws):
+    drawn = sample(sampler, draws)
     for (k, g, eta), found in zip(CASES, drawn):
         law = lone_law(g, eta)[k]
         prob = np.array([c / math.comb(g * eta, k) for c in law])
@@ -198,7 +221,7 @@ def test_sampler_follows_the_law(sampler):
         assert not observed[prob == 0].any(), (
             f"{sampler.__name__} {(k, g, eta)}: impossible F values drawn "
             f"{np.flatnonzero(observed * (prob == 0)).tolist()}")
-        result = chi_square(observed, prob, DRAWS)
+        result = chi_square(observed, prob, draws)
         if result is None:
             continue
         chi2, critical, dof = result

@@ -7,49 +7,24 @@ Markov chain of their own (lumpability; Kemeny & Snell, *Finite Markov
 Chains*, 1960). Each step draws that chain exactly from a few binomial and
 hypergeometric draws, vectorized over trials.
 
-A round that spends its whole capacity on singleton tests (every
-individual-testing round, and every hybrid round in which no trial pools)
-finds Hypergeom(I, n - I, capacity). When the CDF table of that law for
-every I in 0..n, (n+1)*(capacity+1) float64, has at most
-``SINGLES_TABLE_MAX_CELLS`` = 2^17 cells (1 MiB), the draw is one uniform
-per trial looked up in the table's row (inverse CDF; Devroye,
-*Non-Uniform Random Variate Generation*, 1986, III.2), with a per-step
-transient of about trials*(capacity+1) cells. The table is built once per
-(n, capacity) and cached. Larger runs call numpy's sampler through
-``_draw``. numpy's array call spends ~33 us on argument checks
-(``hypergeometric``; ~8 us for ``binomial``), so a draw over at most
-``SCALAR_DRAW_MAX`` = 8 trials calls the scalar sampler once per trial
-instead, at ~1.5 us (~0.8 us) a call, with the same draws. Beyond the
-table's reach an individual-testing step costs the same at any n: about
-5,700 and 5,400 trials/s at n = 10^5 and 10^6 with 1000 trials, and 170
-and 165 with 2 trials. At n = 10^3 the table gives about 14,700 and 275
-trials/s.
+A testing round has one layout per trial: g groups of eta under binary
+codes, and the leftover tests as singletons drawn from all n. Individual
+testing, and a hybrid round that falls back, is the layout with g = 0 and
+the whole capacity left over. A pooled step puts Hypergeom(I, S, g*eta) of
+each pooled trial's infected into its groups, in one draw for the step.
+Then one pass per distinct layout of the step draws two counts for that
+layout's trials: F, the groups holding exactly one infected
+(``_lone_groups``), and the positives among the leftover singletons
+(``_singles``). Each sampler serves one shape. It inverts one uniform per
+trial through a cached CDF table of its law (inverse CDF; Devroye,
+*Non-Uniform Random Variate Generation*, 1986, III.2) when the table fits
+its cap, and otherwise calls numpy's sampler: the multivariate
+hypergeometric one per trial for F (``_lone_groups_wide``), the
+hypergeometric one for the singles.
 
-A pooled step puts Hypergeom(I, S, g*eta) of each trial's infected into its
-g ~ capacity / (2 ceil(log2 eta)) groups of eta and counts F, the groups
-holding exactly one. A single group is lone when it holds one infected. A
-round whose (g+1)*(g*eta+1) table of F's law fits ``LONE_TABLE_MAX_CELLS``
-= 2^11 cells draws F with one uniform per trial from the cached
-``_lone_cdf`` table, as the singles do. A wider round draws each trial's
-group counts from numpy's multivariate hypergeometric sampler
-(``_lone_groups_wide``), one call per trial at ~10 us plus O(g*eta) or O(g)
-work. The leftover singles read the ``_singles_cdf`` table of their own
-test count where it fits. When every table fits, as at n = 1000 and
-capacity 30, a pooled step makes one hypergeometric draw, the in-group
-one. At a fixed capacity/n the hybrid's cost grows with n, since a wide
-round's groups grow with the capacity: about 5,900, 210 and 39 trials/s at
-n = 10^3, 10^5 and 10^6 (1000, 1000 and 300 trials, capacity/n = 0.03,
-n*q = 0.01, p = 0.2, horizon 500; one CPU of a 2-CPU VM, the mean of two
-passes whose runs differed by up to ~15%).
-
-It aggregates per-step means and variances once per block of steps, not
-every step: each step copies every trial's counts into a (3, block, trials)
-int64 buffer, block = min(horizon + 1, max(1, ``AGGREGATE_BLOCK_CELLS`` //
-trials)) with ``AGGREGATE_BLOCK_CELLS`` = 2^15, and ``_aggregate`` sums and
-squares a full block in one pass. The copy costs ~2-4 us a step, where
-summing and squaring every step cost ~9-20 us (2 to 1000 trials). It also
-extracts per-trial control times and attaches the matching
-expected-trajectory overlay.
+The run aggregates per-step means and variances once per block of steps
+(``_aggregate``), extracts per-trial control times and attaches the
+matching expected-trajectory overlay.
 
 ``run_trial`` is the per-individual engine: it moves a status array
 through ``spread_phase`` and ``run_round``, so it runs the real codec. It is
@@ -91,13 +66,16 @@ MARGINALS_MIN_ETA = 41
 
 # A draw over at most this many trials calls numpy's sampler once per trial
 # with Python scalars (``_draw``): the array path's argument checks cost more
-# than that many scalar calls.
+# than that many scalar calls. On one CPU the array call broke even with the
+# scalar loop at about 22 elements for ``hypergeometric`` and 8-12 for
+# ``binomial``.
 SCALAR_DRAW_MAX = 8
 
 # ``run_experiment`` copies each step's counts into a (3, block, trials) int64
-# buffer and aggregates a block of steps at once (``_aggregate``); a block
-# holds at most this many cells per compartment (256 KiB), or one step when
-# trials exceed it.
+# buffer and aggregates a block of steps at once (``_aggregate``), because
+# the copy costs less than summing and squaring one step; a block holds at
+# most this many cells per compartment (256 KiB), or one step when trials
+# exceed it.
 AGGREGATE_BLOCK_CELLS = 2 ** 15
 
 
@@ -169,10 +147,9 @@ def _lone_cdf(groups: int, eta: int) -> np.ndarray:
     sum is therefore exactly 0.0 below its support and, divided by its last
     entry, C(g*eta, K) up to rounding, exactly 1.0 from its top. Callers keep
     the table within ``LONE_TABLE_MAX_CELLS`` cells, where every count fits a
-    float64 unscaled; a table takes 40-210 us to build. The cache holds at
-    most 256 tables of at most 16 KiB, 4 MiB in the worst case; hybrid runs
-    at n=1000, capacity 30 read ~125 distinct ones. The table is read-only
-    because the cache hands the same array to every caller.
+    float64 unscaled. The cache holds at most 256 tables of at most 16 KiB,
+    4 MiB in the worst case. The table is read-only because the cache hands
+    the same array to every caller.
     """
     # C(eta, j) by the multiplicative recurrence, exact in Python integers
     a = np.array(list(itertools.accumulate(range(eta), lambda c, j: c * (eta - j) // (j + 1),
@@ -207,32 +184,21 @@ def _lone_groups_wide(infected: np.ndarray, groups: int, eta: int,
                         for k in infected.tolist()), dtype=np.int64, count=infected.size)
 
 
-def _lone_groups_by_shape(infected: np.ndarray, shape: np.ndarray, shapes: list[tuple[int, int]],
-                          rng: np.random.Generator) -> np.ndarray:
-    """Per trial, the groups holding exactly one of ``infected`` members.
+def _lone_groups(infected: np.ndarray, groups: int, eta: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
 
-    Trial j's round has ``shapes[shape[j]]`` = (groups, eta), and its
-    infected[j] members sit uniformly at random among its group slots. A
-    round of one group finds one exactly when it holds one infected. A round
-    whose ``_lone_cdf`` table fits ``LONE_TABLE_MAX_CELLS`` inverts one
-    uniform per trial through the table's row. A wider round draws each
-    trial's group counts (``_lone_groups_wide``). A round of no groups finds
-    none.
+    The members sit uniformly at random among the groups * eta slots. One
+    group is lone when it holds one infected. A round whose ``_lone_cdf``
+    table fits ``LONE_TABLE_MAX_CELLS`` inverts one uniform per trial through
+    the table's row; a wider round draws each trial's group counts
+    (``_lone_groups_wide``).
     """
-    found = np.zeros_like(infected)
-    tabled = [groups > 1 and (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS
-              for groups, eta in shapes]
-    uniform = rng.random(infected.size) if any(tabled) else None
-    for k, (groups, eta) in enumerate(shapes):
-        if groups:
-            on = shape == k
-            if groups == 1:
-                found[on] = infected[on] == 1
-            elif tabled[k]:
-                found[on] = _invert(_lone_cdf(groups, eta), infected[on], uniform[on])
-            else:
-                found[on] = _lone_groups_wide(infected[on], groups, eta, rng)
-    return found
+    if groups == 1:
+        return infected == 1
+    if (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS:
+        return _invert(_lone_cdf(groups, eta), infected, rng.random(infected.size))
+    return _lone_groups_wide(infected, groups, eta, rng)
 
 
 @functools.lru_cache(maxsize=16)
@@ -287,52 +253,30 @@ def _draw(sampler, *args) -> np.ndarray:
     return np.fromiter(map(sampler, *columns), dtype=np.int64, count=size)
 
 
-def _full_singles(cfg: SimConfig, infected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Positives among ``cfg.capacity`` singleton tests drawn from all n, per trial.
+def _singles(n: int, good: np.ndarray, tests: int, rng: np.random.Generator) -> np.ndarray:
+    """Positives among ``tests`` singleton tests drawn from all n, per trial of ``good`` infected.
 
-    The law is Hypergeom(infected, n - infected, capacity). When the
-    ``_singles_cdf`` table has at most ``SINGLES_TABLE_MAX_CELLS`` cells, one
-    uniform per trial is inverted through its row.
+    The law is Hypergeom(good, n - good, tests). When the ``_singles_cdf``
+    table fits ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial is
+    inverted through its row; otherwise numpy's sampler runs (``_draw``).
     """
-    if (cfg.n + 1) * (cfg.capacity + 1) > SINGLES_TABLE_MAX_CELLS:
-        return _draw(rng.hypergeometric, infected, cfg.n - infected, cfg.capacity)
-    return _invert(_singles_cdf(cfg.n, cfg.capacity), infected, rng.random(infected.size))
+    if (n + 1) * (tests + 1) > SINGLES_TABLE_MAX_CELLS:
+        return _draw(rng.hypergeometric, good, n - good, tests)
+    return _invert(_singles_cdf(n, tests), good, rng.random(good.size))
 
 
-def _leftover_singles(n: int, good: np.ndarray, layout: np.ndarray, tests: list[int],
-                      rng: np.random.Generator) -> np.ndarray:
-    """Positives among ``tests[layout[j]]`` singleton tests drawn from all n, per trial j.
-
-    The law is Hypergeom(good, n - good, tests). Test counts whose
-    ``_singles_cdf`` table fits ``SINGLES_TABLE_MAX_CELLS`` invert one
-    uniform per trial through the table's row; the other trials make one
-    ``_draw``. Zero tests find nothing.
-    """
-    found = np.zeros_like(good)
-    tabled = [0 < count and (n + 1) * (count + 1) <= SINGLES_TABLE_MAX_CELLS for count in tests]
-    if any(tabled):
-        uniform = rng.random(good.size)
-        for k, count in enumerate(tests):
-            if tabled[k]:
-                on = layout == k
-                found[on] = _invert(_singles_cdf(n, count), good[on], uniform[on])
-    sampled = [0 < count and not table for count, table in zip(tests, tabled)]
-    if any(sampled):
-        on = np.array(sampled)[layout]
-        found[on] = _draw(rng.hypergeometric, good[on], n - good[on], np.array(tests)[layout[on]])
-    return found
-
-
-def _layout_keys(pools: np.ndarray, expected: float, n: int) -> np.ndarray:
+def _layout_keys(pools: np.ndarray, expected: float, n: int, capacity: int) -> np.ndarray:
     """Per pool of at most ``n``, a key that fixes its ``saffron_layout`` at an estimate >= 1.
 
     The layout reads the pool only through eta = pool // expected and
-    pool // eta, the most groups the pool can supply, so the key is the pair
-    of them, eta * (n + 1) + pool // eta < (n + 1)^2. Pools below
-    2 * expected cannot pool; through eta = 1 each keeps a key of its own.
+    groups = min(capacity // (2 * code_width(eta)), pool // eta). The first
+    term is at most capacity // 2, so min(pool // eta, capacity // 2) fixes
+    groups, and the key is eta * (n + 1) + that, below (n + 1)^2. Pools
+    below 2 * expected cannot pool; through eta = 1 they fall back whatever
+    their key.
     """
     eta = np.maximum(pools // expected, 1).astype(np.int64)
-    return eta * (n + 1) + pools // eta
+    return eta * (n + 1) + np.minimum(pools // eta, capacity // 2)
 
 
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
@@ -340,42 +284,43 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     """Infections one testing round identifies, per trial, from post-spread counts.
 
     ``expected`` is the planner's estimate of the infected count, which only
-    the hybrid policy reads. Singleton tests are drawn from all n, isolated
-    individuals included. Under the hybrid policy, ``saffron_layout`` shapes
-    each trial's round from its non-isolated pool; it runs once per distinct
-    ``_layout_keys`` key of the step, on one pool holding that key. A pooled
-    round puts Hypergeom(I, S, groups*eta) infected into its groups, in one
-    ``_draw`` for all trials, and finds the F of them that land alone in a
-    group (``_lone_groups_by_shape``); its leftover singletons find
-    Hypergeom(I - F, n - I + F, leftover) of the others
-    (``_leftover_singles``). Both work per distinct layout of the step, not
-    per trial. When every table fits, that in-group draw is the round's only
-    hypergeometric draw. A round in which no trial pools spends the full
-    capacity on singletons (``_full_singles``).
+    the hybrid policy reads. An individual-testing round, or a hybrid round
+    at an estimate below 1, spends the whole capacity on singletons drawn
+    from all n, isolated individuals included (one ``_singles`` call). Under
+    the hybrid policy otherwise, ``saffron_layout`` shapes each trial's
+    round as (eta, groups, leftover) from its non-isolated pool, or
+    (0, 0, capacity) when it falls back; it runs once per distinct
+    ``_layout_keys`` key of the step. One ``_draw`` puts Hypergeom(I, S,
+    groups*eta) infected into the groups of every pooled trial. Then one
+    pass per distinct layout of the step draws, for its trials, the F
+    infected that land alone in a group (``_lone_groups``) and the
+    Hypergeom(I - F, n - I + F, leftover) others its singletons find
+    (``_singles``).
     """
     susceptible, infected, isolated = counts
     # saffron_group_size falls back for every pool while the estimate is below 1
-    if cfg.policy == POLICY_SAFFRON_HYBRID and expected >= 1.0:
-        pools = cfg.n - isolated
-        _, first, which = np.unique(_layout_keys(pools, expected, cfg.n), return_index=True,
-                                    return_inverse=True)
-        # the step's distinct layouts, and each key's index among them
-        index = {}
-        of_key = [index.setdefault(saffron_layout(pool, expected, cfg.capacity)
-                                   or (0, 0, cfg.capacity), len(index))
-                  for pool in pools[first].tolist()]
-        if any(groups for _, groups, _ in index):
-            layout = np.array(of_key)[which]
-            eta, groups, _ = np.array(list(index), dtype=np.int64)[layout].T
-            pooled = groups > 0
-            in_groups = np.zeros_like(infected)
-            in_groups[pooled] = _draw(rng.hypergeometric, infected[pooled], susceptible[pooled],
-                                      groups[pooled] * eta[pooled])
-            found = _lone_groups_by_shape(in_groups, layout,
-                                          [(groups, eta) for eta, groups, _ in index], rng)
-            return found + _leftover_singles(cfg.n, infected - found, layout,
-                                             [leftover for _, _, leftover in index], rng)
-    return _full_singles(cfg, infected, rng)
+    if cfg.policy != POLICY_SAFFRON_HYBRID or expected < 1.0:
+        return _singles(cfg.n, infected, cfg.capacity, rng)
+    pools = cfg.n - isolated
+    _, first, which = np.unique(_layout_keys(pools, expected, cfg.n, cfg.capacity),
+                                return_index=True, return_inverse=True)
+    # the step's distinct layouts, and each key's index among them
+    index = {}
+    of_key = [index.setdefault(saffron_layout(pool, expected, cfg.capacity)
+                               or (0, 0, cfg.capacity), len(index))
+              for pool in pools[first].tolist()]
+    layout = np.array(of_key)[which]
+    slots = np.array([eta * groups for eta, groups, _ in index])[layout]
+    pooled = slots > 0
+    in_groups = np.zeros_like(infected)
+    in_groups[pooled] = _draw(rng.hypergeometric, infected[pooled], susceptible[pooled],
+                              slots[pooled])
+    found = np.zeros_like(infected)
+    for k, (eta, groups, leftover) in enumerate(index):
+        on = layout == k
+        lone = _lone_groups(in_groups[on], groups, eta, rng) if groups else 0
+        found[on] = lone + (_singles(cfg.n, infected[on] - lone, leftover, rng) if leftover else 0)
+    return found
 
 
 def _aggregate(block: np.ndarray, total: np.ndarray, square_dev: np.ndarray) -> None:
@@ -398,31 +343,27 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     draws every trial's steps together, so a trial's path also depends on
     cfg.trials. Each step, for the trials still holding infections, spread
     is Binomial(S, 1-(1-q)^I) and the round's detections come from
-    ``_detections``; the initial infected count is Binomial(n, p). Counts
-    are recorded after the testing phase of each step (step 0 is the freshly
-    drawn population). A trial with no circulating infections never changes
-    again, so it stops drawing, and once every trial has, the remaining
-    steps are filled. Each step's counts of all trials wait in a
-    (3, block, trials) buffer, and a full block, or the steps held when the
-    loop ends, is aggregated at once (``_aggregate``); block is
-    min(horizon + 1, max(1, ``AGGREGATE_BLOCK_CELLS`` // trials)). Variances
-    are summed about each step's floor(mean), from deviations that are
-    exact integers, so trials that all hold one count give exactly 0 at any
-    n, and the sums do not depend on the block length while they stay below
-    2^53. Memory is O(trials + horizon), plus the buffer and its float64
-    deviations, together at most 1.5 MiB or, past 2^15 trials, 48 bytes per
-    trial, plus a per-step transient of about trials*(capacity+1) float64
-    when the singleton draws use a ``_singles_cdf`` table, and, in a pooled
-    round, trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too
-    wide for the table, one trial's g group counts at a time. The cached
-    tables add at most 16 MiB of singles tables and 4 MiB of lone-group
-    tables. A binomial or hypergeometric draw over at most
-    ``SCALAR_DRAW_MAX`` = 8 live trials calls numpy's scalar sampler once per
-    trial (``_draw``), with the same draws as its array call, whose fixed
-    argument checks outweigh that many scalar calls: on one CPU the array
-    call broke even with the scalar loop at about 22 elements for
-    ``hypergeometric`` (~33 us against ~1.5 us a call) and 8-12 for
-    ``binomial`` (~9 us against ~0.8 us).
+    ``_detections``, one pass per distinct layout of the step; the initial
+    infected count is Binomial(n, p). Counts are recorded after the testing
+    phase of each step (step 0 is the freshly drawn population). A trial
+    with no circulating infections never changes again, so it stops
+    drawing, and once every trial has, the remaining steps are filled. Each
+    step's counts of all trials wait in a (3, block, trials) buffer, and a
+    full block, or the steps held when the loop ends, is aggregated at once
+    (``_aggregate``); block is min(horizon + 1, max(1,
+    ``AGGREGATE_BLOCK_CELLS`` // trials)). Variances are summed about each
+    step's floor(mean), from deviations that are exact integers, so trials
+    that all hold one count give exactly 0 at any n, and the sums do not
+    depend on the block length while they stay below 2^53. Memory is
+    O(trials + horizon), plus the buffer and its float64 deviations,
+    together at most 1.5 MiB or, past 2^15 trials, 48 bytes per trial, plus
+    a per-step transient of about trials*(capacity+1) float64 when the
+    singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
+    trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
+    for the table, one trial's g group counts at a time. The cached tables
+    add at most 16 MiB of singles tables and 4 MiB of lone-group tables.
+    A draw over at most ``SCALAR_DRAW_MAX`` live trials gives the same
+    draws as numpy's array call (``_draw``).
     """
     cfg.validate()
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)

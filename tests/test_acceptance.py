@@ -276,7 +276,7 @@ def test_c9_expected_alpha_individual(many_trials_individual):
     fails when the exponent is off by 10% (a gap of about -1%). Under the
     hybrid policy the recursion's miss probabilities follow the planner's
     open-loop estimate, and the closed form overshoots the simulation by
-    9.4% (672.3 vs 614.6 at ``SEED``, 20,000 trials): that is C7's
+    9.3% (672.3 vs 615.1 at ``SEED``, 20,000 trials): that is C7's
     mechanism, so it is not asserted here.
     """
     stats = many_trials_individual

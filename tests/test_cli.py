@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from sirpool import cli
-from sirpool.cli import CSV_HEADER, main, read_csv, write_csv
+from sirpool.cli import CSV_HEADER, main, write_csv
 from sirpool.harness import TrajectoryStats, run_experiment
 from sirpool.sir import SimConfig
 from sirpool.theory import TheoryCurve
+from tests.oracle import read_csv
 
 
 def _must_not_run(cfg):

@@ -246,6 +246,37 @@ class TestPooledRounds:
         assert 6 <= SCALAR_DRAW_MAX
         assert self.table_sized_round(copies=1) == 6
 
+    def test_mixed_layout_round(self):
+        # at an estimate of 2 and capacity 40, pools of 3, 2050, 100, 682 and
+        # 1026 fall back, pool one group, read a table, are too wide for one,
+        # and leave no singleton tests
+        cfg = SimConfig(n=3000, capacity=40, policy="saffron-hybrid")
+        pools = np.repeat([3, 2050, 100, 682, 1026], 3)
+        infected = np.array([0, 1, 3, 0, 1, 900, 0, 1, 40, 0, 1, 300, 0, 1, 500])
+        counts = np.stack([pools - infected, infected, cfg.n - pools])
+        layouts = [saffron_layout(pool, 2.0, cfg.capacity) for pool in pools[::3].tolist()]
+        assert layouts == [None, (1025, 1, 18), (50, 2, 16), (341, 2, 4), (513, 2, 0)]
+        assert [(g + 1) * (g * eta + 1) <= LONE_TABLE_MAX_CELLS
+                for eta, g, _ in layouts[2:]] == [True, False, False]
+        assert (cfg.n + 1) * (cfg.capacity + 1) <= SINGLES_TABLE_MAX_CELLS
+        _singles_cdf.cache_clear()
+        rng = CountingGenerator(3)
+        found = _detections(cfg, 2.0, counts, rng)
+        assert np.all((0 <= found) & (found <= infected))
+        assert not found[infected == 0].any()
+        # the pooled trials' in-group draw is one array call, and every
+        # singles draw reads a table: the capacity's and the leftovers 18,
+        # 16 and 4, but none for the layout without leftover
+        assert rng.calls["hypergeometric"] == 1
+        assert rng.calls["multivariate_hypergeometric"] == 6
+        assert _singles_cdf.cache_info().currsize == 4
+        # uniforms for the fallback, one-group and wide layouts' singles, and
+        # for both draws of the table-sized layout
+        assert rng.calls["random"] == 5
+        hits = _singles_cdf.cache_info().hits
+        _singles_cdf(cfg.n, cfg.capacity)
+        assert _singles_cdf.cache_info().hits == hits + 1
+
     def test_each_table_is_built_once(self):
         # a run reads many lone-group tables and a few singles tables; no
         # cache may evict one that the run reads again
@@ -284,7 +315,7 @@ class TestPooledRounds:
         expected = max(1.0, n ** expected_at)
         center = round(n * center_at)
         pools = np.arange(max(0, center - 200), min(n, center + 200) + 1)
-        _, first, which = np.unique(_layout_keys(pools, np.float64(expected), n),
+        _, first, which = np.unique(_layout_keys(pools, np.float64(expected), n, capacity),
                                     return_index=True, return_inverse=True)
         layouts = [saffron_layout(pool, expected, capacity) for pool in pools.tolist()]
         for k, key in enumerate(which.tolist()):

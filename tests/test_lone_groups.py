@@ -9,11 +9,10 @@ the groups forced to hold exactly one,
 computed here with Python integers. The formula is first checked against
 enumeration of every K-subset for small shapes. Every ``_lone_cdf`` table
 that fits ``LONE_TABLE_MAX_CELLS`` with g = 2..8 is then checked against it
-entry by entry. The draws of the engine's dispatch (``_lone_groups_by_shape``)
-and of the per-trial multivariate hypergeometric sampler
-(``_lone_groups_wide``, run on every case whatever its width, with each of
-numpy's two methods on some) are checked by a chi-square test at a fixed
-seed.
+entry by entry. The draws of the engine's sampler (``_lone_groups``) and
+of the per-trial multivariate hypergeometric sampler (``_lone_groups_wide``,
+run on every case whatever its width, with each of numpy's two methods on
+some) are checked by a chi-square test at a fixed seed.
 """
 
 import itertools
@@ -23,13 +22,13 @@ import numpy as np
 import pytest
 
 from sirpool import harness
-from sirpool.harness import LONE_TABLE_MAX_CELLS, MARGINALS_MIN_ETA, _lone_cdf, \
-    _lone_groups_by_shape, _lone_groups_wide
+from sirpool.harness import LONE_TABLE_MAX_CELLS, MARGINALS_MIN_ETA, _lone_cdf, _lone_groups, \
+    _lone_groups_wide
 
 SEED = 20261018
 DRAWS = 100_000
 # ``_lone_groups_wide`` makes one numpy call per trial (~10 us), so its check
-# on every case draws fewer; the engine's dispatch, checked at DRAWS, sends
+# on every case draws fewer; the engine's sampler, checked at DRAWS, sends
 # it the four wide cases
 WIDE_DRAWS = 20_000
 CHUNK = 10_000  # draws per case in one call, which keeps a call's arrays small
@@ -37,7 +36,7 @@ Z_CRIT = 3.719  # standard normal upper quantile at p = 1e-4
 
 # (K, g, eta): empty and full groups, more than half full, one group, pairs,
 # wide rounds like those ``_lone_groups_wide`` serves, and eta on each side
-# of ``MARGINALS_MIN_ETA``; in the engine's dispatch, the g >= 2 shapes up to
+# of ``MARGINALS_MIN_ETA``; in the engine's sampler, the g >= 2 shapes up to
 # (20, 13, 2) read a table and the four after it are too wide for one
 CASES = [
     (0, 5, 4),
@@ -116,28 +115,23 @@ def chi_square(observed: np.ndarray, prob: np.ndarray,
 
 
 def sample(sampler, draws: int) -> np.ndarray:
-    """(cases, draws) lone-group counts, every call mixing all cases trial by trial."""
+    """(cases, draws) lone-group counts, all cases mixed trial by trial in every call.
+
+    ``sampler`` runs as the engine calls it: once per distinct (g, eta), on
+    that shape's trials.
+    """
     rng = np.random.default_rng(SEED)
     k, g, eta = (np.tile(np.array(column, dtype=np.int64), CHUNK) for column in zip(*CASES))
-    calls = [sampler(k, g, eta, rng).reshape(CHUNK, len(CASES)) for _ in range(draws // CHUNK)]
+    shapes, shape = np.unique(np.stack([g, eta], axis=1), axis=0, return_inverse=True)
+    shape = shape.ravel()
+    calls = []
+    for _ in range(draws // CHUNK):
+        found = np.empty_like(k)
+        for index, (groups, size) in enumerate(shapes.tolist()):
+            on = shape == index
+            found[on] = sampler(k[on], groups, size, rng)
+        calls.append(found.reshape(CHUNK, len(CASES)))
     return np.concatenate(calls).T
-
-
-def by_shape(k: np.ndarray, g: np.ndarray, eta: np.ndarray,
-             rng: np.random.Generator) -> np.ndarray:
-    """``_lone_groups_by_shape`` as the engine calls it: each trial indexes the distinct shapes."""
-    shapes, shape = np.unique(np.stack([g, eta], axis=1), axis=0, return_inverse=True)
-    return _lone_groups_by_shape(k, shape.ravel(), [tuple(s) for s in shapes.tolist()], rng)
-
-
-def wide(k: np.ndarray, g: np.ndarray, eta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``_lone_groups_wide`` on every trial, whatever its width: one call per distinct shape."""
-    shapes, shape = np.unique(np.stack([g, eta], axis=1), axis=0, return_inverse=True)
-    found = np.empty_like(k)
-    for index, (groups, size) in enumerate(shapes.tolist()):
-        on = shape.ravel() == index
-        found[on] = _lone_groups_wide(k[on], groups, size, rng)
-    return found
 
 
 @pytest.mark.parametrize("g", range(1, 5))
@@ -202,15 +196,15 @@ def test_table_cap_boundary(monkeypatch):
     for eta, tabled in ((340, True), (341, False)):
         _lone_cdf.cache_clear()
         wide_calls.clear()
-        found = _lone_groups_by_shape(infected, np.zeros(infected.size, dtype=np.int64),
-                                      [(2, eta)], rng)
+        found = _lone_groups(infected, 2, eta, rng)
         assert found[[0, 1, 4]].tolist() == [0, 1, 0]
         assert _lone_cdf.cache_info().currsize == int(tabled), eta
         assert wide_calls == ([] if tabled else [infected.size]), eta
 
 
-@pytest.mark.parametrize("sampler, draws", [(by_shape, DRAWS), (wide, WIDE_DRAWS)],
-                         ids=["_lone_groups_by_shape", "_lone_groups_wide"])
+@pytest.mark.parametrize("sampler, draws",
+                         [(_lone_groups, DRAWS), (_lone_groups_wide, WIDE_DRAWS)],
+                         ids=["_lone_groups", "_lone_groups_wide"])
 def test_sampler_follows_the_law(sampler, draws):
     drawn = sample(sampler, draws)
     for (k, g, eta), found in zip(CASES, drawn):

@@ -1,7 +1,7 @@
-"""The full-capacity singleton sampler against the exact hypergeometric law.
+"""The singleton sampler against the exact hypergeometric law.
 
-``_full_singles`` draws the positives among ``capacity`` singleton tests
-taken from all n: Hypergeom(good, n - good, capacity). A config whose CDF
+``_singles`` draws the positives among ``capacity`` singleton tests taken
+from all n: Hypergeom(good, n - good, capacity). A config whose CDF
 table fits in ``SINGLES_TABLE_MAX_CELLS`` inverts one uniform per trial
 through the table; a larger one calls numpy's sampler. Both paths are
 checked against exact pmfs from ``math.comb`` by a chi-square test at a
@@ -13,8 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from sirpool import SimConfig
-from sirpool.harness import SINGLES_TABLE_MAX_CELLS, _full_singles, _singles_cdf
+from sirpool.harness import SINGLES_TABLE_MAX_CELLS, _singles, _singles_cdf
 from tests.test_lone_groups import chi_square
 
 SEED = 20261019
@@ -47,11 +46,10 @@ def test_the_cell_limit_splits_the_cases():
 @pytest.mark.parametrize("n, capacity", sorted(CASES))
 def test_draws_follow_the_law(n, capacity):
     goods = CASES[(n, capacity)]
-    cfg = SimConfig(n=n, capacity=capacity)
     rng = np.random.default_rng(SEED)
     infected = np.tile(np.array(goods, dtype=np.int64), CHUNK)
     _singles_cdf.cache_clear()
-    drawn = np.concatenate([_full_singles(cfg, infected, rng).reshape(CHUNK, len(goods))
+    drawn = np.concatenate([_singles(n, infected, capacity, rng).reshape(CHUNK, len(goods))
                             for _ in range(DRAWS // CHUNK)]).T
     tabulated = _singles_cdf.cache_info().currsize == 1
     assert tabulated == ((n + 1) * (capacity + 1) <= SINGLES_TABLE_MAX_CELLS)

@@ -121,25 +121,24 @@ def decode_round(matrix: TestMatrix, results: np.ndarray) -> RoundOutcome:
 
     A group with no positive row is all-negative. A single infection lights
     a top half that spells its index, below eta, and a bottom half that is
-    the complement; any other positive pattern means several infections.
+    the complement; any other positive pattern means several infections. A
+    round without groups, shape (0, 0), takes the same path and decodes to
+    its positive singles and no verdicts.
     """
     results = np.asarray(results, dtype=bool)
     if results.shape != (matrix.rows,):
         raise ValueError(f"expected {matrix.rows} results, got shape {results.shape}")
     split = matrix.group_rows
-    found = np.empty(0, dtype=np.int64)
-    verdicts = np.empty(0, dtype=np.int8)
-    if split:
-        g, eta = matrix.groups.shape
-        b = code_width(eta)
-        blocks = results[:split].reshape(g, 2 * b)
-        top = blocks[:, :b]
-        index = top @ (1 << np.arange(b - 1, -1, -1))
-        single = (top != blocks[:, b:]).all(axis=1) & (index < eta)
-        found = matrix.groups[single, index[single]]
-        verdicts = np.where(single, np.int8(Verdict.SINGLE),
-                            np.where(blocks.any(axis=1), np.int8(Verdict.MULTIPLE),
-                                     np.int8(Verdict.ALL_NEGATIVE)))
+    g, eta = matrix.groups.shape
+    b = code_width(eta)
+    blocks = results[:split].reshape(g, 2 * b)
+    top = blocks[:, :b]
+    index = top @ (1 << np.arange(b - 1, -1, -1))
+    single = (top != blocks[:, b:]).all(axis=1) & (index < eta)
+    found = matrix.groups[single, index[single]]
+    verdicts = np.where(single, np.int8(Verdict.SINGLE),
+                        np.where(blocks.any(axis=1), np.int8(Verdict.MULTIPLE),
+                                 np.int8(Verdict.ALL_NEGATIVE)))
     positive_singles = matrix.single_members[results[split:]]
     identified = np.unique(np.concatenate([found, positive_singles]))
     return RoundOutcome(identified=identified, verdicts=verdicts)

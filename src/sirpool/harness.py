@@ -176,7 +176,9 @@ def _lone_groups_wide(infected: np.ndarray, groups: int, eta: int,
     hypergeometric law of K draws from ``groups`` colours of ``eta`` each.
     numpy draws one such vector per trial, holding one trial's counts at a
     time, with the method that is faster at this eta
-    (``MARGINALS_MIN_ETA``).
+    (``MARGINALS_MIN_ETA``). Below that eta the "count" method also
+    allocates about 8 * groups * eta bytes of C scratch per call, which
+    tracemalloc does not see.
     """
     slots = np.full(groups, eta)
     method = "marginals" if eta >= MARGINALS_MIN_ETA else "count"
@@ -288,14 +290,14 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     at an estimate below 1, spends the whole capacity on singletons drawn
     from all n, isolated individuals included (one ``_singles`` call). Under
     the hybrid policy otherwise, ``saffron_layout`` shapes each trial's
-    round as (eta, groups, leftover) from its non-isolated pool, or
-    (0, 0, capacity) when it falls back; it runs once per distinct
-    ``_layout_keys`` key of the step. One ``_draw`` puts Hypergeom(I, S,
-    groups*eta) infected into the groups of every pooled trial. Then one
-    pass per distinct layout of the step draws, for its trials, the F
-    infected that land alone in a group (``_lone_groups``) and the
-    Hypergeom(I - F, n - I + F, leftover) others its singletons find
-    (``_singles``).
+    round as (eta, groups, leftover) from its non-isolated pool, the
+    individual-testing (0, 0, capacity) where it falls back; it runs once
+    per distinct ``_layout_keys`` key of the step. One ``_draw`` puts
+    Hypergeom(I, S, groups*eta) infected into the groups of every pooled
+    trial. Then one pass per distinct layout of the step draws, for its
+    trials, the F infected that land alone in a group (``_lone_groups``)
+    and the Hypergeom(I - F, n - I + F, leftover) others its singletons
+    find (``_singles``).
     """
     susceptible, infected, isolated = counts
     # saffron_group_size falls back for every pool while the estimate is below 1
@@ -306,8 +308,7 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                                 return_index=True, return_inverse=True)
     # the step's distinct layouts, and each key's index among them
     index = {}
-    of_key = [index.setdefault(saffron_layout(pool, expected, cfg.capacity)
-                               or (0, 0, cfg.capacity), len(index))
+    of_key = [index.setdefault(saffron_layout(pool, expected, cfg.capacity), len(index))
               for pool in pools[first].tolist()]
     layout = np.array(of_key)[which]
     slots = np.array([eta * groups for eta, groups, _ in index])[layout]
@@ -360,8 +361,10 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     a per-step transient of about trials*(capacity+1) float64 when the
     singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
-    for the table, one trial's g group counts at a time. The cached tables
-    add at most 16 MiB of singles tables and 4 MiB of lone-group tables.
+    for the table, one trial's g group counts at a time and, below
+    ``MARGINALS_MIN_ETA``, about 8*g*eta bytes of numpy's C scratch per
+    draw (``_lone_groups_wide``). The cached tables add at most 16 MiB of
+    singles tables and 4 MiB of lone-group tables.
     A draw over at most ``SCALAR_DRAW_MAX`` live trials gives the same
     draws as numpy's array call (``_draw``).
     """
@@ -413,13 +416,11 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     total[:, t + 1:] = total[:, t:t + 1]
     square_dev[:, t + 1:] = square_dev[:, t:t + 1]
     means = total / cfg.trials
-    if cfg.trials > 1:
-        # deviations from floor(mean) sum to total mod trials, so this
-        # difference cancels nothing larger than trials
-        dev_sum = total % cfg.trials
-        variances = np.maximum(square_dev - dev_sum ** 2 / cfg.trials, 0.0) / (cfg.trials - 1)
-    else:
-        variances = np.zeros_like(means)
+    # deviations from floor(mean) sum to total mod trials, so this
+    # difference cancels nothing larger than trials; one trial's deviations
+    # are all 0, so its variances are 0
+    dev_sum = total % cfg.trials
+    variances = np.maximum(square_dev - dev_sum ** 2 / cfg.trials, 0.0) / max(cfg.trials - 1, 1)
     return TrajectoryStats(
         config=cfg,
         mean_susceptible=means[0], mean_infected=means[1], mean_isolated=means[2],

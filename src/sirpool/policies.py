@@ -3,7 +3,7 @@
 Two planners, both returning a TestMatrix no taller than the per-round
 capacity: random individual testing, and the hybrid pooled policy that packs
 as many code blocks as fit, tops the round up with random singleton tests,
-and falls back to pure individual testing in the regimes where pooling
+and packs none, which is individual testing, in the regimes where pooling
 stops paying off.
 """
 
@@ -45,17 +45,19 @@ def plan_individual(ctx: PolicyContext, rng: np.random.Generator) -> TestMatrix:
 
 
 def saffron_layout(pool: int, expected_infected: float,
-                   capacity: int) -> tuple[int, int, int] | None:
-    """Shape of a pooled round as (eta, groups, leftover), or None to test individually.
+                   capacity: int) -> tuple[int, int, int]:
+    """Shape of a round as (eta, groups, leftover).
 
     eta comes from theory.saffron_group_size over the ``pool`` non-isolated
     individuals. floor(capacity / (2*ceil(log2(eta)))) groups fit, capped at
     what the pool can supply, and the ``leftover`` rows they do not use go to
     singleton tests. The group-size rule guarantees at least one group fits.
+    When the rule falls back the round pools nothing: (0, 0, capacity), an
+    individual-testing round.
     """
     eta = saffron_group_size(pool, expected_infected, capacity)
     if eta is None:
-        return None
+        return 0, 0, capacity
     rows_per_group = 2 * code_width(eta)
     groups = min(capacity // rows_per_group, pool // eta)
     return eta, groups, capacity - groups * rows_per_group
@@ -68,16 +70,14 @@ def plan_saffron_hybrid(ctx: PolicyContext, non_isolated,
     Groups of size eta = floor(pool / expected_infected), where pool is the
     number of non-isolated individuals, are drawn disjointly from them, as
     many as ``saffron_layout`` fits. Remaining capacity goes to singleton
-    tests drawn from the whole population. Falls back to plan_individual
-    when the switch rule says pooling is not worthwhile this round.
+    tests drawn from the whole population. Where the switch rule says
+    pooling is not worthwhile the layout has no groups, and the round draws
+    exactly the tests plan_individual would, from the same random numbers.
     """
     pool = np.asarray(non_isolated, dtype=np.int64)
-    layout = saffron_layout(pool.size, ctx.expected_infected, ctx.capacity)
-    if layout is None:
-        return plan_individual(ctx, rng)
-    eta, n_groups, leftover = layout
+    eta, n_groups, leftover = saffron_layout(pool.size, ctx.expected_infected, ctx.capacity)
     groups = rng.choice(pool, size=n_groups * eta, replace=False).reshape(n_groups, eta)
-    singles = rng.choice(ctx.n, size=leftover, replace=False) if leftover else []
+    singles = rng.choice(ctx.n, size=leftover, replace=False)
     return assemble_matrix(ctx.n, groups, singles)
 
 

@@ -131,10 +131,11 @@ def saffron_group_size(pool: float, expected_infected: float, capacity: int) -> 
     The size is floor(pool / expected_infected), which cannot exceed the
     pool because pooling needs expected_infected >= 1. The fallback fires
     when the expected infected count is below 1, the size would drop below 2
-    (the regime where the detection formula stops applying), or one group's
-    code block would not fit in the per-round capacity.
+    (the regime where the detection formula stops applying, and where every
+    pool below 2 lands), or one group's code block would not fit in the
+    per-round capacity.
     """
-    if expected_infected < 1.0 or pool < 2:
+    if expected_infected < 1.0:
         return None
     eta = int(pool // expected_infected)
     if eta < 2:

@@ -239,6 +239,14 @@ class TestDecodeRound:
         outcome = decode_round(matrix, evaluate_tests(matrix, state))
         assert outcome.identified.tolist() == [2]
 
+    def test_singles_only_round(self):
+        matrix = assemble_matrix(20, [], [9, 3, 10, 4])
+        state = make_state(20, infected_idx=[3, 9, 15])
+        outcome = decode_round(matrix, evaluate_tests(matrix, state))
+        assert outcome.identified.tolist() == [3, 9]
+        assert outcome.verdicts.dtype == np.int8
+        assert outcome.verdicts.size == 0
+
     def test_codeword_beyond_group_is_multiple(self):
         # eta = 3 uses codes 00..10; a hand-made block spelling 11 with its
         # complement names no member, so it must not decode as SINGLE

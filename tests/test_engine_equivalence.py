@@ -67,7 +67,7 @@ def planner_rounds(cfg: SimConfig, counts: np.ndarray) -> tuple[int, int, set[tu
         pools, runs = np.unique(cfg.n - counts[active, 2, t - 1], return_counts=True)
         for pool, trials in zip(pools.tolist(), runs.tolist()):
             layout = saffron_layout(pool, curve.pre_test_infected[t], cfg.capacity)
-            if layout is None:
+            if layout == (0, 0, cfg.capacity):
                 fallback += trials
             else:
                 pooled += trials

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
@@ -165,7 +165,8 @@ class TestCountEngineEdges:
         stats = run_experiment(cfg)
         assert_count_invariants(stats)
         if policy == "saffron-hybrid":
-            assert saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity)
+            _, groups, _ = saffron_layout(cfg.n, stats.theory.pre_test_infected[1], cfg.capacity)
+            assert groups > 0
 
     def test_memory_stays_linear(self):
         # (3, trials, steps) int64 counts would take 3 * 10_000 * 501 * 8 B = 120 MB;
@@ -184,7 +185,9 @@ class TestCountEngineEdges:
         # each trial draws its group counts on its own and holds at most 750 of
         # them at a time; one (trials, groups) int64 array would take 3 MB and
         # per-individual status arrays n * trials = 50 MB. Run on its own, it
-        # peaked at ~1.1 MiB
+        # peaked at ~1.1 MiB. tracemalloc cannot see the C scratch of numpy's
+        # "count" method, about 8 * groups * eta bytes per draw, so this bound
+        # leaves it out
         cfg = SimConfig(n=100_000, capacity=3000, q=1e-7, horizon=10, trials=500,
                         policy="saffron-hybrid")
         tracemalloc.start()
@@ -255,7 +258,7 @@ class TestPooledRounds:
         infected = np.array([0, 1, 3, 0, 1, 900, 0, 1, 40, 0, 1, 300, 0, 1, 500])
         counts = np.stack([pools - infected, infected, cfg.n - pools])
         layouts = [saffron_layout(pool, 2.0, cfg.capacity) for pool in pools[::3].tolist()]
-        assert layouts == [None, (1025, 1, 18), (50, 2, 16), (341, 2, 4), (513, 2, 0)]
+        assert layouts == [(0, 0, 40), (1025, 1, 18), (50, 2, 16), (341, 2, 4), (513, 2, 0)]
         assert [(g + 1) * (g * eta + 1) <= LONE_TABLE_MAX_CELLS
                 for eta, g, _ in layouts[2:]] == [True, False, False]
         assert (cfg.n + 1) * (cfg.capacity + 1) <= SINGLES_TABLE_MAX_CELLS
@@ -306,6 +309,10 @@ class TestPooledRounds:
 
     @given(st.integers(1, 10 ** 9 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.floats(0.0, 1.0))
+    # n = 1000, capacity 30 and an estimate of 10 (just below it): pools
+    # 20-29 have eta = 2 and 10-14 groups, the one regime where the
+    # capacity // 2 cap of the key binds
+    @example(n=1000, capacity_at=math.log(30, 1000), expected_at=1 / 3, center_at=0.0)
     @settings(max_examples=200, deadline=None)
     def test_pools_sharing_a_key_share_a_layout(self, n, capacity_at, expected_at, center_at):
         # capacity and the estimate log-uniform in [1, n], so every regime

@@ -9,10 +9,10 @@ the groups forced to hold exactly one,
 computed here with Python integers. The formula is first checked against
 enumeration of every K-subset for small shapes. Every ``_lone_cdf`` table
 that fits ``LONE_TABLE_MAX_CELLS`` with g = 2..8 is then checked against it
-entry by entry. The draws of the engine's sampler (``_lone_groups``) and
-of the per-trial multivariate hypergeometric sampler (``_lone_groups_wide``,
-run on every case whatever its width, with each of numpy's two methods on
-some) are checked by a chi-square test at a fixed seed.
+entry by entry. The draws of the engine's sampler (``_lone_groups``) are
+checked by a chi-square test at a fixed seed; it sends the wide cases to
+the per-trial multivariate hypergeometric sampler (``_lone_groups_wide``),
+with numpy's "count" method at (12, 8, 40) and "marginals" at (12, 8, 41).
 """
 
 import itertools
@@ -27,10 +27,6 @@ from sirpool.harness import LONE_TABLE_MAX_CELLS, MARGINALS_MIN_ETA, _lone_cdf, 
 
 SEED = 20261018
 DRAWS = 100_000
-# ``_lone_groups_wide`` makes one numpy call per trial (~10 us), so its check
-# on every case draws fewer; the engine's sampler, checked at DRAWS, sends
-# it the four wide cases
-WIDE_DRAWS = 20_000
 CHUNK = 10_000  # draws per case in one call, which keeps a call's arrays small
 Z_CRIT = 3.719  # standard normal upper quantile at p = 1e-4
 
@@ -202,24 +198,21 @@ def test_table_cap_boundary(monkeypatch):
         assert wide_calls == ([] if tabled else [infected.size]), eta
 
 
-@pytest.mark.parametrize("sampler, draws",
-                         [(_lone_groups, DRAWS), (_lone_groups_wide, WIDE_DRAWS)],
-                         ids=["_lone_groups", "_lone_groups_wide"])
-def test_sampler_follows_the_law(sampler, draws):
-    drawn = sample(sampler, draws)
+def test_sampler_follows_the_law():
+    drawn = sample(_lone_groups, DRAWS)
     for (k, g, eta), found in zip(CASES, drawn):
         law = lone_law(g, eta)[k]
         prob = np.array([c / math.comb(g * eta, k) for c in law])
         observed = np.bincount(found, minlength=g + 1)
-        assert observed.size == g + 1, f"{sampler.__name__} {(k, g, eta)}: F > g"
+        assert observed.size == g + 1, f"{(k, g, eta)}: F > g"
         assert not observed[prob == 0].any(), (
-            f"{sampler.__name__} {(k, g, eta)}: impossible F values drawn "
+            f"{(k, g, eta)}: impossible F values drawn "
             f"{np.flatnonzero(observed * (prob == 0)).tolist()}")
-        result = chi_square(observed, prob, draws)
+        result = chi_square(observed, prob, DRAWS)
         if result is None:
             continue
         chi2, critical, dof = result
         assert chi2 <= critical, (
-            f"{sampler.__name__} {(k, g, eta)}: chi-square {chi2:.1f} > "
+            f"{(k, g, eta)}: chi-square {chi2:.1f} > "
             f"{critical:.1f} on {dof} dof; mean F {found.mean():.4f}, "
             f"exact {float(prob @ np.arange(g + 1)):.4f}")

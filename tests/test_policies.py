@@ -3,7 +3,8 @@ import pytest
 
 from sirpool import SimConfig
 from sirpool.codec import Verdict, code_width
-from sirpool.policies import PolicyContext, plan_individual, plan_saffron_hybrid, run_round
+from sirpool.policies import PolicyContext, plan_individual, plan_saffron_hybrid, run_round, \
+    saffron_layout
 from sirpool.sir import Status, init_population, spread_phase
 from tests.test_sir import make_state
 
@@ -41,6 +42,17 @@ class TestPlanIndividual:
         assert np.all(np.abs(freq - 0.03) <= 5 * sigma)
 
 
+class TestSaffronLayout:
+    @pytest.mark.parametrize("pool, expected, capacity", [
+        (1000, 0.5, 30),  # estimate below 1
+        (100, 90.0, 30),  # eta = 1
+        (1, 1.0, 30),  # a pool below 2 gives eta < 2 too
+        (1000, 2.0, 17),  # eta = 500 needs 18 rows
+    ])
+    def test_fallback_is_the_round_without_groups(self, pool, expected, capacity):
+        assert saffron_layout(pool, expected, capacity) == (0, 0, capacity)
+
+
 class TestPlanSaffronHybrid:
     def test_five_groups_of_five(self):
         # eta = floor(1000/200) = 5 -> 6 rows per group, 5 groups, no leftover
@@ -60,11 +72,17 @@ class TestPlanSaffronHybrid:
         assert matrix.single_members.size == 12
         assert matrix.rows == 30
 
-    def test_fallback_on_small_expected(self):
-        matrix = plan_saffron_hybrid(ctx(expected=0.5), np.arange(1000),
-                                     np.random.default_rng(1))
-        assert len(matrix.groups) == 0
-        assert matrix.rows == 30
+    @pytest.mark.parametrize("pool, expected, capacity",
+                             [(1000, 0.5, 30), (100, 90.0, 30), (0, 2.0, 30), (1000, 2.0, 17)])
+    def test_fallback_draws_what_plan_individual_draws(self, pool, expected, capacity):
+        hybrid_rng, individual_rng = np.random.default_rng(1), np.random.default_rng(1)
+        round_ctx = ctx(capacity=capacity, expected=expected)
+        hybrid = plan_saffron_hybrid(round_ctx, np.arange(pool), hybrid_rng)
+        individual = plan_individual(round_ctx, individual_rng)
+        assert hybrid.groups.shape == individual.groups.shape == (0, 0)
+        assert hybrid.rows == individual.rows == capacity
+        assert np.array_equal(hybrid.single_members, individual.single_members)
+        assert hybrid_rng.bit_generator.state == individual_rng.bit_generator.state
 
     def test_groups_disjoint_and_non_isolated_only(self):
         rng = np.random.default_rng(2)

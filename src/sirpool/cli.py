@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -139,22 +140,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "susceptible/infected/isolated epidemic and export the averaged "
                     "trajectories.",
     )
-    parser.add_argument("--n", type=int, default=1000, help="population size")
-    parser.add_argument("--capacity", type=int, default=30, help="tests per time step")
-    parser.add_argument("--p", type=float, default=0.2, help="initial infection probability")
-    parser.add_argument("--q", type=float, default=1e-5,
-                        help="per-pair transmission probability per step")
-    parser.add_argument("--horizon", type=int, default=500, help="time steps per trial")
-    parser.add_argument("--trials", type=int, default=1000, help="Monte Carlo repetitions")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--policy", choices=POLICIES, default=POLICY_INDIVIDUAL,
-                        help="test planning policy")
-    parser.add_argument("--epsilon", type=float, default=1.0,
+    parser.add_argument("--n", type=int, help="population size")
+    parser.add_argument("--capacity", type=int, help="tests per time step")
+    parser.add_argument("--p", type=float, help="initial infection probability")
+    parser.add_argument("--q", type=float, help="per-pair transmission probability per step")
+    parser.add_argument("--horizon", type=int, help="time steps per trial")
+    parser.add_argument("--trials", type=int, help="Monte Carlo repetitions")
+    parser.add_argument("--seed", type=int, help="base RNG seed")
+    parser.add_argument("--policy", choices=POLICIES, help="test planning policy")
+    parser.add_argument("--epsilon", type=float,
                         help="infected-count threshold for reported control times")
     parser.add_argument("--csv", metavar="PATH", help="write per-step trajectory CSV here")
     parser.add_argument("--svg", metavar="PATH", help="write an SVG line plot here")
     parser.add_argument("--theory", action="store_true",
                         help="include the expected-trajectory overlay in the outputs")
+    # the model flags default to the reference run, stated once in SimConfig
+    parser.set_defaults(**dataclasses.asdict(SimConfig()))
     return parser
 
 
@@ -169,9 +170,7 @@ def main(argv=None) -> int:
             parser.error(f"cannot write {flag} {path}: {problem}")
     if args.csv and args.svg and os.path.realpath(args.csv) == os.path.realpath(args.svg):
         parser.error(f"--csv {args.csv} and --svg {args.svg} are the same file")
-    cfg = SimConfig(n=args.n, capacity=args.capacity, p=args.p, q=args.q,
-                    horizon=args.horizon, trials=args.trials, seed=args.seed,
-                    policy=args.policy, epsilon=args.epsilon)
+    cfg = SimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)})
     try:
         cfg.validate()
     except ConfigError as exc:

@@ -11,16 +11,16 @@ A testing round has one layout per trial: g groups of eta under binary
 codes, and the leftover tests as singletons drawn from all n. Individual
 testing, and a hybrid round that falls back, is the layout with g = 0 and
 the whole capacity left over. A pooled step puts Hypergeom(I, S, g*eta) of
-each pooled trial's infected into its groups, in one draw for the step.
-Then one pass per distinct layout of the step draws two counts for that
-layout's trials: F, the groups holding exactly one infected
-(``_lone_groups``), and the positives among the leftover singletons
-(``_singles``). Each sampler serves one shape. It inverts one uniform per
-trial through a cached CDF table of its law (inverse CDF; Devroye,
-*Non-Uniform Random Variate Generation*, 1986, III.2) when the table fits
-its cap, and otherwise calls numpy's sampler: the multivariate
-hypergeometric one per trial for F (``_lone_groups_wide``), the
-hypergeometric one for the singles.
+each trial's infected into its groups, in one draw that spans every trial
+of the step; a trial with g = 0 draws 0. Then one pass per layout key of
+the step draws two counts for that key's trials: F, the groups holding
+exactly one infected (``_lone_groups``), and the positives among the
+leftover singletons (``_singles``). Each sampler serves one shape. It
+inverts one uniform per trial through a cached CDF table of its law
+(inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
+III.2) when the table fits its cap, and otherwise calls numpy's sampler:
+the multivariate hypergeometric one per trial for F
+(``_lone_groups_wide``), the hypergeometric one for the singles.
 
 The run aggregates per-step means and variances once per block of steps
 (``_aggregate``), extracts per-trial control times and attaches the
@@ -191,12 +191,14 @@ def _lone_groups(infected: np.ndarray, groups: int, eta: int,
     """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
 
     The members sit uniformly at random among the groups * eta slots. One
-    group is lone when it holds one infected. A round whose ``_lone_cdf``
-    table fits ``LONE_TABLE_MAX_CELLS`` inverts one uniform per trial through
-    the table's row; a wider round draws each trial's group counts
-    (``_lone_groups_wide``).
+    group is lone when it holds one infected. A round of at most one group
+    draws nothing: its one group is lone when K = 1, and a round of no
+    groups, where the planner fell back, holds K = 0. A round whose
+    ``_lone_cdf`` table fits ``LONE_TABLE_MAX_CELLS`` inverts one uniform per
+    trial through the table's row; a wider round draws each trial's group
+    counts (``_lone_groups_wide``).
     """
-    if groups == 1:
+    if groups < 2:
         return infected == 1
     if (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS:
         return _invert(_lone_cdf(groups, eta), infected, rng.random(infected.size))
@@ -292,12 +294,13 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     the hybrid policy otherwise, ``saffron_layout`` shapes each trial's
     round as (eta, groups, leftover) from its non-isolated pool, the
     individual-testing (0, 0, capacity) where it falls back; it runs once
-    per distinct ``_layout_keys`` key of the step. One ``_draw`` puts
-    Hypergeom(I, S, groups*eta) infected into the groups of every pooled
-    trial. Then one pass per distinct layout of the step draws, for its
-    trials, the F infected that land alone in a group (``_lone_groups``)
-    and the Hypergeom(I - F, n - I + F, leftover) others its singletons
-    find (``_singles``).
+    per distinct ``_layout_keys`` key of the step. One ``_draw`` over every
+    trial puts Hypergeom(I, S, groups*eta) infected into its groups, 0 in a
+    trial that falls back. Then one pass per layout key of the step draws,
+    for that key's trials, the F infected that land alone in a group
+    (``_lone_groups``) and the Hypergeom(I - F, n - I + F, leftover) others
+    its singletons find (``_singles``). Keys that share a layout draw
+    separately, each from the same law.
     """
     susceptible, infected, isolated = counts
     # saffron_group_size falls back for every pool while the estimate is below 1
@@ -306,20 +309,14 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     pools = cfg.n - isolated
     _, first, which = np.unique(_layout_keys(pools, expected, cfg.n, cfg.capacity),
                                 return_index=True, return_inverse=True)
-    # the step's distinct layouts, and each key's index among them
-    index = {}
-    of_key = [index.setdefault(saffron_layout(pool, expected, cfg.capacity), len(index))
-              for pool in pools[first].tolist()]
-    layout = np.array(of_key)[which]
-    slots = np.array([eta * groups for eta, groups, _ in index])[layout]
-    pooled = slots > 0
-    in_groups = np.zeros_like(infected)
-    in_groups[pooled] = _draw(rng.hypergeometric, infected[pooled], susceptible[pooled],
-                              slots[pooled])
+    layouts = [saffron_layout(pool, expected, cfg.capacity) for pool in pools[first].tolist()]
+    slots = np.array([eta * groups for eta, groups, _ in layouts])[which]
+    # a fallback trial has no slots, so it draws 0 and consumes nothing
+    in_groups = _draw(rng.hypergeometric, infected, susceptible, slots)
     found = np.zeros_like(infected)
-    for k, (eta, groups, leftover) in enumerate(index):
-        on = layout == k
-        lone = _lone_groups(in_groups[on], groups, eta, rng) if groups else 0
+    for k, (eta, groups, leftover) in enumerate(layouts):
+        on = which == k
+        lone = _lone_groups(in_groups[on], groups, eta, rng)
         found[on] = lone + (_singles(cfg.n, infected[on] - lone, leftover, rng) if leftover else 0)
     return found
 
@@ -344,7 +341,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     draws every trial's steps together, so a trial's path also depends on
     cfg.trials. Each step, for the trials still holding infections, spread
     is Binomial(S, 1-(1-q)^I) and the round's detections come from
-    ``_detections``, one pass per distinct layout of the step; the initial
+    ``_detections``, one pass per layout key of the step; the initial
     infected count is Binomial(n, p). Counts are recorded after the testing
     phase of each step (step 0 is the freshly drawn population). A trial
     with no circulating infections never changes again, so it stops

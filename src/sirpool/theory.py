@@ -65,8 +65,10 @@ def epsilon_control_time(params: TheoryParams, epsilon: float) -> float:
     """Steps of individual testing until the expected infected count reaches epsilon.
 
     Real-valued; callers may round up for step-indexed reporting. Raises when
-    the policy cannot shrink the infection (per-step decay factor >= 1) or
-    when epsilon is not in (0, n*p].
+    the policy cannot shrink the infection (per-step decay factor >= 1), when
+    it clears every infection in one step (capacity >= n, decay factor <= 0,
+    so the expected count jumps from n*p to 0 and takes no value between),
+    or when epsilon is not in (0, n*p]. Returns 0.0 at epsilon = n*p.
     """
     peak = params.n * params.p
     if not 0.0 < epsilon <= peak:
@@ -77,6 +79,13 @@ def epsilon_control_time(params: TheoryParams, epsilon: float) -> float:
             "individual testing does not control the infection for these parameters: "
             f"(1 - T/n) * growth_factor = {decay} >= 1"
         )
+    if decay <= 0.0:
+        raise ValueError(
+            "individual testing clears every infection in one step at capacity >= n: "
+            f"(1 - T/n) * growth_factor = {decay} <= 0 has no logarithm"
+        )
+    if epsilon == peak:
+        return 0.0  # log(1) / log(decay) is -0.0
     return math.log(epsilon / peak) / math.log(decay)
 
 

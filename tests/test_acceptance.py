@@ -221,7 +221,8 @@ def test_c6_control_time_identity():
         params = TheoryParams(n=n, capacity=int(rng.integers(1, n + 1)),
                               p=float(rng.uniform(1e-3, 1.0)),
                               q=float(rng.uniform(0.0, 0.5 / n)))
-        if params.individual_decay >= 1.0:
+        # epsilon_control_time needs a decay factor in (0, 1); capacity = n gives 0
+        if not 0.0 < params.individual_decay < 1.0:
             continue
         epsilon = float(rng.uniform(0.0, 1.0)) * n * params.p
         if epsilon <= 0.0:

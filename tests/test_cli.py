@@ -88,6 +88,18 @@ class TestMain:
         assert "hypergeometric sampler" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_no_model_flags_run_the_reference_config(self, tmp_path, monkeypatch):
+        class Ran(Exception):
+            pass
+
+        def stop(cfg):
+            raise Ran(cfg)
+
+        monkeypatch.setattr(cli, "run_experiment", stop)
+        with pytest.raises(Ran) as ran:
+            main(["--csv", str(tmp_path / "x.csv")])
+        assert ran.value.args[0] == SimConfig()
+
     def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         def fail_replace(src, dst):
             raise OSError("disk full")

@@ -267,9 +267,10 @@ class TestPooledRounds:
         found = _detections(cfg, 2.0, counts, rng)
         assert np.all((0 <= found) & (found <= infected))
         assert not found[infected == 0].any()
-        # the pooled trials' in-group draw is one array call, and every
-        # singles draw reads a table: the capacity's and the leftovers 18,
-        # 16 and 4, but none for the layout without leftover
+        # the in-group draw is one array call that spans every trial,
+        # fallback trials included, and every singles draw reads a table:
+        # the capacity's and the leftovers 18, 16 and 4, but none for the
+        # layout without leftover
         assert rng.calls["hypergeometric"] == 1
         assert rng.calls["multivariate_hypergeometric"] == 6
         assert _singles_cdf.cache_info().currsize == 4

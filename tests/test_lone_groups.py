@@ -30,11 +30,13 @@ DRAWS = 100_000
 CHUNK = 10_000  # draws per case in one call, which keeps a call's arrays small
 Z_CRIT = 3.719  # standard normal upper quantile at p = 1e-4
 
-# (K, g, eta): empty and full groups, more than half full, one group, pairs,
-# wide rounds like those ``_lone_groups_wide`` serves, and eta on each side
-# of ``MARGINALS_MIN_ETA``; in the engine's sampler, the g >= 2 shapes up to
-# (20, 13, 2) read a table and the four after it are too wide for one
+# (K, g, eta): no groups (a round that falls back), empty and full groups,
+# more than half full, one group, pairs, wide rounds like those
+# ``_lone_groups_wide`` serves, and eta on each side of ``MARGINALS_MIN_ETA``;
+# in the engine's sampler, the g >= 2 shapes up to (20, 13, 2) read a table
+# and the four after it are too wide for one
 CASES = [
+    (0, 0, 0),
     (0, 5, 4),
     (6, 2, 3),
     (1, 1, 2),

@@ -6,6 +6,7 @@ import pytest
 from sirpool import SimConfig, run_experiment
 from sirpool import harness
 from sirpool.harness import SCALAR_DRAW_MAX, _draw
+from tests.test_harness import ndarray_fields
 
 LENGTHS = (0, 1, SCALAR_DRAW_MAX, SCALAR_DRAW_MAX + 1)
 
@@ -54,6 +55,18 @@ def test_draw_matches_the_array_call(name, length):
         assert mine.random() == numpys.random()
 
 
+@pytest.mark.parametrize("length", LENGTHS)
+def test_zero_sample_draws_nothing(length):
+    # the engine's in-group draw spans every trial, and a trial whose round
+    # falls back has no group slots: its zero sample must consume nothing
+    good = np.arange(1, length + 1)
+    for sample in (np.zeros(length, dtype=np.int64), 0):
+        rng = np.random.default_rng(length)
+        got = _draw(rng.hypergeometric, good, good + 3, sample)
+        assert got.dtype == np.int64 and got.shape == (length,) and not got.any()
+        assert rng.bit_generator.state == np.random.default_rng(length).bit_generator.state
+
+
 @pytest.mark.parametrize("length", [1, SCALAR_DRAW_MAX, SCALAR_DRAW_MAX + 1])
 def test_invalid_arguments_raise_on_both_paths(length):
     rng = np.random.default_rng(0)
@@ -66,12 +79,6 @@ def test_invalid_arguments_raise_on_both_paths(length):
         _draw(rng.hypergeometric, count, count, np.full(length, 21))
     with pytest.raises(ValueError):
         _draw(rng.hypergeometric, count, count, 21)
-
-
-def stats_arrays(stats):
-    return [stats.mean_susceptible, stats.mean_infected, stats.mean_isolated,
-            stats.var_susceptible, stats.var_infected, stats.var_isolated,
-            stats.control_time, stats.control_censored]
 
 
 LARGE = dict(n=100_000, capacity=3000, q=1e-7, horizon=40)
@@ -87,7 +94,8 @@ def test_engine_is_bit_identical_on_the_array_path(monkeypatch, p, policy, trial
     scalar = run_experiment(cfg)
     monkeypatch.setattr(harness, "SCALAR_DRAW_MAX", 0)
     array = run_experiment(cfg)
-    for a, b in zip(stats_arrays(scalar), stats_arrays(array)):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for name, a in ndarray_fields(scalar).items():
+        b = getattr(array, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
     if p < 0.01 and trials > SCALAR_DRAW_MAX:
         assert (~scalar.control_censored).sum() >= trials - SCALAR_DRAW_MAX

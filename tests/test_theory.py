@@ -68,7 +68,18 @@ class TestEpsilonControlTime:
         assert epsilon_control_time(BASE, 1.0) == pytest.approx(235.5746055514, rel=1e-9)
 
     def test_threshold_at_initial_mean_is_zero(self):
-        assert epsilon_control_time(BASE, 200.0) == 0.0
+        t = epsilon_control_time(BASE, 200.0)
+        assert t == 0.0
+        # positive zero, so the CLI prints 0.00 rather than -0.00
+        assert math.copysign(1.0, t) == 1.0 and f"{t:.2f}" == "0.00"
+
+    def test_capacity_of_everyone_rejected(self):
+        # a valid SimConfig: every infection is found in one step, decay factor 0
+        params = TheoryParams(n=1000, capacity=1000, p=0.2, q=1e-5)
+        assert params.individual_decay == 0.0
+        for epsilon in (1.0, 200.0):
+            with pytest.raises(ValueError, match="clears every infection in one step"):
+                epsilon_control_time(params, epsilon)
 
     def test_no_spread_case(self):
         # ln(0.1)/ln(0.9), direct arithmetic

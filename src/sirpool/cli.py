@@ -13,23 +13,26 @@ from .harness import TrajectoryStats, empirical_epsilon_time, run_experiment
 from .sir import POLICIES, POLICY_INDIVIDUAL, ConfigError, SimConfig
 from .theory import TheoryParams, epsilon_control_time
 
-CSV_HEADER = "t,alpha_mean,lambda_mean,gamma_mean,theory_lambda"
-
+# (name, colour) of each output series, in CSV column order; the theory overlay is last
+_SERIES = (
+    ("alpha_mean", "#1f77b4"),
+    ("lambda_mean", "#d62728"),
+    ("gamma_mean", "#2ca02c"),
+    ("theory_lambda", "#7f7f7f"),
+)
+CSV_HEADER = ",".join(["t", *(name for name, _ in _SERIES)])
 
 SVG_WIDTH = 880
 SVG_HEIGHT = 560
 SVG_MARGIN = 60
 
-_SERIES_COLORS = {
-    "alpha_mean": "#1f77b4",
-    "lambda_mean": "#d62728",
-    "gamma_mean": "#2ca02c",
-    "theory_lambda": "#7f7f7f",
-}
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def _series_values(stats: TrajectoryStats, include_theory: bool) -> list[np.ndarray]:
+    """The arrays behind _SERIES, in its order; the overlay only when requested."""
+    values = [stats.mean_susceptible, stats.mean_infected, stats.mean_isolated]
+    if include_theory:
+        values.append(stats.theory.expected_infected)
+    return values
 
 
 def _unwritable(path: str) -> str | None:
@@ -65,13 +68,9 @@ def _write_text(path: str, text: str) -> None:
 def write_csv(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
     """One row per step; theory_lambda cells stay empty unless requested."""
     steps = stats.config.horizon + 1
-    columns = [[_fmt(x) for x in series[:steps].tolist()] for series in
-               (stats.mean_susceptible, stats.mean_infected, stats.mean_isolated)]
-    theory = ([_fmt(x) for x in stats.theory.expected_infected[:steps].tolist()]
-              if include_theory else [""] * steps)
-    lines = [CSV_HEADER]
-    lines.extend(",".join([str(t), *cells])
-                 for t, cells in enumerate(zip(*columns, theory)))
+    columns = [values[:steps].tolist() for values in _series_values(stats, include_theory)]
+    row = "%d" + ",%.9g" * len(columns) + ("" if include_theory else ",")
+    lines = [CSV_HEADER, *(row % (t, *cells) for t, cells in enumerate(zip(*columns)))]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -110,25 +109,17 @@ def write_svg(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
                      f'font-size="12">{t_tick:.0f}</text>')
         parts.append(f'<text x="{SVG_MARGIN - 8}" y="{sy(v_tick) + 4:.2f}" text-anchor="end" '
                      f'font-size="12">{v_tick:.0f}</text>')
-    series = [
-        ("alpha_mean", stats.mean_susceptible),
-        ("lambda_mean", stats.mean_infected),
-        ("gamma_mean", stats.mean_isolated),
-    ]
-    if include_theory:
-        series.append(("theory_lambda", stats.theory.expected_infected))
-    legend_y = SVG_MARGIN + 10
-    for name, values in series:
-        color = _SERIES_COLORS[name]
-        xs, ys = sx(np.arange(values.size)).tolist(), sy(values).tolist()
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    series = zip(_SERIES, _series_values(stats, include_theory))
+    for i, ((name, color), values) in enumerate(series):
+        points = " ".join("%.2f,%.2f" % xy for xy in
+                          zip(sx(np.arange(values.size)).tolist(), sy(values).tolist()))
+        legend_y = SVG_MARGIN + 10 + 18 * i
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{points}"/>')
         parts.append(f'<line x1="{SVG_WIDTH - 220}" y1="{legend_y}" x2="{SVG_WIDTH - 190}" '
                      f'y2="{legend_y}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{SVG_WIDTH - 182}" y="{legend_y + 4}" font-size="12">'
                      f'{name}</text>')
-        legend_y += 18
     parts.append("</svg>")
     _write_text(path, "\n".join(parts) + "\n")
 
@@ -162,14 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not args.csv and not args.svg:
+    outputs = [(flag, path, writer) for flag, path, writer in
+               (("--csv", args.csv, write_csv), ("--svg", args.svg, write_svg)) if path]
+    if not outputs:
         parser.error("no output requested: pass --csv and/or --svg")
-    for flag, path in (("--csv", args.csv), ("--svg", args.svg)):
-        problem = _unwritable(path) if path else None
+    for flag, path, _ in outputs:
+        problem = _unwritable(path)
         if problem:
             parser.error(f"cannot write {flag} {path}: {problem}")
-    if args.csv and args.svg and os.path.realpath(args.csv) == os.path.realpath(args.svg):
-        parser.error(f"--csv {args.csv} and --svg {args.svg} are the same file")
+    if len({os.path.realpath(path) for _, path, _ in outputs}) < len(outputs):
+        parser.error(" and ".join(f"{flag} {path}" for flag, path, _ in outputs)
+                     + " are the same file")
     cfg = SimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)})
     try:
         cfg.validate()
@@ -179,10 +173,8 @@ def main(argv=None) -> int:
     stats = run_experiment(cfg)
 
     try:
-        if args.csv:
-            write_csv(args.csv, stats, args.theory)
-        if args.svg:
-            write_svg(args.svg, stats, args.theory)
+        for _, path, writer in outputs:
+            writer(path, stats, args.theory)
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return 1
@@ -196,10 +188,10 @@ def main(argv=None) -> int:
     if cfg.policy == POLICY_INDIVIDUAL:
         params = TheoryParams.from_config(cfg)
         try:
-            print(f"closed-form epsilon control time: "
-                  f"{epsilon_control_time(params, cfg.epsilon):.2f}")
-        except ValueError:
-            pass
+            closed_form = f"{epsilon_control_time(params, cfg.epsilon):.2f}"
+        except ValueError as exc:
+            closed_form = f"none ({exc})"
+        print(f"closed-form epsilon control time: {closed_form}")
     done = ~stats.control_censored
     if done.any():
         print(f"trials with zero circulating infections by step {cfg.horizon}: "
@@ -207,10 +199,8 @@ def main(argv=None) -> int:
               f"(mean control time {stats.control_time[done].mean():.1f})")
     else:
         print(f"no trial reached zero circulating infections within horizon={cfg.horizon}")
-    if args.csv:
-        print(f"wrote {args.csv}")
-    if args.svg:
-        print(f"wrote {args.svg}")
+    for _, path, _ in outputs:
+        print(f"wrote {path}")
     return 0
 
 

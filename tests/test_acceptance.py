@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from sirpool import SimConfig, empirical_epsilon_time, run_experiment
-from sirpool.codec import Verdict, assemble_matrix, decode_round, evaluate_tests
+from sirpool.codec import Verdict, decode_round, evaluate_tests
 from sirpool.policies import PolicyContext, plan_saffron_hybrid, run_round
 from sirpool.sir import PopulationState, Status, init_population, spread_phase
 from sirpool.theory import (
@@ -41,6 +41,7 @@ from sirpool.theory import (
     expected_lambda_individual,
     mean_trajectory,
 )
+from tests.test_codec import decode_one_group
 from tests.test_sir import counts_consistent
 
 SEED = 20260810
@@ -143,31 +144,20 @@ def test_c3_pooled_detection_rate():
            f"{abs(mean - target) / se:.2f} SE over {rounds} rounds")
 
 
-def _decode_one_group(eta, infected_positions):
-    """The group's verdict and the members the round identifies."""
-    matrix = assemble_matrix(eta, [range(eta)], [])
-    infected = np.zeros(eta, dtype=np.int8)
-    infected[list(infected_positions)] = Status.INFECTED
-    k = len(infected_positions)
-    state = PopulationState(statuses=infected, susceptible=eta - k, infected=k)
-    outcome = decode_round(matrix, evaluate_tests(matrix, state))
-    return outcome.verdicts[0], outcome.identified.tolist()
-
-
 def test_c4_codec_exhaustive():
     rng = np.random.default_rng(SEED)
     checked = 0
     for eta in range(2, 17):
-        assert _decode_one_group(eta, []) == (Verdict.ALL_NEGATIVE, [])
+        assert decode_one_group(eta, []) == (Verdict.ALL_NEGATIVE, [])
         for pos in range(eta):
-            assert _decode_one_group(eta, [pos]) == (Verdict.SINGLE, [pos])
+            assert decode_one_group(eta, [pos]) == (Verdict.SINGLE, [pos])
         for pair in itertools.combinations(range(eta), 2):
-            assert _decode_one_group(eta, pair) == (Verdict.MULTIPLE, [])
+            assert decode_one_group(eta, pair) == (Verdict.MULTIPLE, [])
         if eta >= 3:
             for _ in range(1000):
                 k = int(rng.integers(3, eta + 1))
                 chosen = rng.choice(eta, size=k, replace=False)
-                verdict, identified = _decode_one_group(eta, chosen)
+                verdict, identified = decode_one_group(eta, chosen)
                 assert verdict != Verdict.ALL_NEGATIVE
                 assert not (verdict == Verdict.SINGLE and identified[0] not in chosen)
         checked += 1

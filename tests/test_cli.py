@@ -115,6 +115,17 @@ class TestMain:
         assert kept.read_text(encoding="utf-8") == "previous run"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.svg"]
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--n", "100", "--capacity", "100", "--trials", "2", "--horizon", "20"],
+         "individual testing clears every infection in one step at capacity >= n: "
+         "(1 - T/n) * growth_factor = 0.0 <= 0 has no logarithm"),
+        (FAST + ["--epsilon", "500"], "epsilon must be in (0, n*p=16.0], got 500.0"),
+    ], ids=["capacity-of-everyone", "epsilon-above-initial-mean"])
+    def test_closed_form_line_says_why_there_is_none(self, tmp_path, capsys, flags, reason):
+        assert main(flags + ["--csv", str(tmp_path / "x.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"closed-form epsilon control time: none ({reason})" in lines
+
     def test_svg_run(self, tmp_path):
         out = tmp_path / "fig.svg"
         assert main(FAST + ["--policy", "saffron-hybrid", "--theory",
@@ -202,6 +213,23 @@ def fixed_stats() -> TrajectoryStats:
                            control_censored=np.zeros(3, dtype=bool), theory=curve)
 
 
+class TestSeriesNames:
+    """The CSV header and the SVG legend both come from one series table; pin both."""
+
+    def test_csv_header(self):
+        assert CSV_HEADER == "t,alpha_mean,lambda_mean,gamma_mean,theory_lambda"
+
+    @pytest.mark.parametrize("include_theory", [False, True])
+    def test_svg_legend_follows_the_csv_columns(self, tmp_path, include_theory):
+        path = tmp_path / "t.svg"
+        cli.write_svg(str(path), fixed_stats(), include_theory)
+        elements = list(ET.parse(path).getroot())
+        first_series = next(i for i, e in enumerate(elements) if e.tag.endswith("polyline"))
+        legend = [e.text for e in elements[first_series:] if e.tag.endswith("text")]
+        names = CSV_HEADER.split(",")[1:]
+        assert legend == (names if include_theory else names[:-1])
+
+
 class TestWritersMatchPerCellFormatting:
     """The writers format whole series at once; each cell must read as formatted one by one."""
 
@@ -210,12 +238,16 @@ class TestWritersMatchPerCellFormatting:
         stats = fixed_stats()
         path = tmp_path / "t.csv"
         write_csv(str(path), stats, include_theory)
+
+        def cell(x):
+            return format(float(x), ".9g")
+
         lines = [CSV_HEADER]
         for t in range(7):
             lines.append(",".join([
-                str(t), cli._fmt(stats.mean_susceptible[t]), cli._fmt(stats.mean_infected[t]),
-                cli._fmt(stats.mean_isolated[t]),
-                cli._fmt(stats.theory.expected_infected[t]) if include_theory else ""]))
+                str(t), cell(stats.mean_susceptible[t]), cell(stats.mean_infected[t]),
+                cell(stats.mean_isolated[t]),
+                cell(stats.theory.expected_infected[t]) if include_theory else ""]))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     @pytest.mark.parametrize("include_theory", [False, True])

@@ -1,8 +1,9 @@
 """Mean-sense predictions for the testing policies.
 
-Closed forms for the individual-testing policy (expected circulating
-infections per step and the time to drive them below a threshold), the
-expected per-round detection count of the pooled policy, and a step-by-step
+Closed forms for the individual-testing policy, each read from one per-step
+decay factor (expected circulating infections per step, the time to drive
+them below a threshold, and the never-infected count); the expected
+per-round detection count of the pooled policy; and a step-by-step
 recursion that produces the full expected trajectory either policy traces
 out. The expressions drop correction terms that vanish only for large
 populations with weak per-pair transmission; at moderate sizes they are
@@ -40,14 +41,13 @@ class TheoryParams:
         return 1.0 + self.n * self.q * (1.0 - self.p)
 
     @property
-    def individual_miss(self) -> float:
-        """Probability one circulating infection escapes a round of individual tests."""
-        return 1.0 - self.capacity / self.n
-
-    @property
     def individual_decay(self) -> float:
-        """Net per-step factor on the expected infected count under individual testing."""
-        return self.individual_miss * self.growth_factor
+        """Net per-step factor on the expected infected count under individual testing.
+
+        A circulating infection escapes a round of T individual tests with
+        probability 1 - T/n, and the survivors grow by ``growth_factor``.
+        """
+        return (1.0 - self.capacity / self.n) * self.growth_factor
 
 
 def expected_lambda_individual(params: TheoryParams, t: float) -> float:
@@ -89,24 +89,21 @@ def epsilon_control_time(params: TheoryParams, epsilon: float) -> float:
     return math.log(epsilon / peak) / math.log(decay)
 
 
-def expected_alpha(params: TheoryParams, miss_sequence, t: int) -> float:
-    """Expected never-infected count after t steps.
+def expected_alpha(params: TheoryParams, t: int) -> float:
+    """Expected never-infected count after t steps of individual testing.
 
-    n(1-p)(1-q)^E where the exponent E = n*p * sum_{i=0}^{t-1} growth^i *
-    prod_{j=1}^{i} miss(j) accumulates the expected exposure pressure.
-    ``miss_sequence[k]`` is the per-step miss probability of step k+1 and
-    must cover steps 1..t-1.
+    n(1-p)(1-q)^E, where the exposure E = n*p * sum_{i<t} decay^i sums the
+    frozen-pool circulating count ``expected_lambda_individual`` over the
+    steps so far. The sum is taken term by term: on a growing epidemic the
+    terms saturate to inf rather than overflow, and (1-q)^inf is 0.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    total = 0.0
-    running_miss = 1.0
-    for i in range(t):
-        if i > 0:
-            running_miss *= miss_sequence[i - 1]
-        total += params.growth_factor ** i * running_miss
-    exponent = params.n * params.p * total
-    return params.n * (1.0 - params.p) * (1.0 - params.q) ** exponent
+    exposure, term = 0.0, params.n * params.p
+    for _ in range(t):
+        exposure += term
+        term *= params.individual_decay
+    return params.n * (1.0 - params.p) * (1.0 - params.q) ** exposure
 
 
 def saffron_expected_detections(n: int, capacity: int, isolated: float,
@@ -119,6 +116,14 @@ def saffron_expected_detections(n: int, capacity: int, isolated: float,
     with probability (1 - expected_infected/pool)^(eta-1). The product is
     capped at expected_infected. Only applicable while expected_infected >= 1
     and eta >= 2; outside that regime callers must plan individual tests.
+
+    The group count is real-valued, while ``policies.saffron_layout`` packs
+    min(floor(T / (2*ceil(log2 eta))), pool // eta) whole groups of the
+    integer size. Over the 176 pooled steps of the reference hybrid
+    recursion (n=1000, T=30, p=0.2, q=1e-5) this formula counts a median
+    1.21x the planner's groups (0.92x to 2.14x, 15 steps below 1x), so the
+    recursion, and the planner's estimate read from it, falls faster than
+    the simulated count.
     """
     if expected_infected < 1.0:
         raise ValueError(
@@ -160,16 +165,12 @@ class TheoryCurve:
 
     ``pre_test_infected[t]`` is the expected infected count after step t's
     spread phase but before its tests: the planner's estimate for round t.
-    ``miss_prob[t]`` is the probability a circulating infection survives the
-    tests of step t (1.0 at t=0, where no tests run); ``expected_alpha``
-    takes ``miss_prob[1:]`` as its miss sequence.
     """
 
     expected_susceptible: np.ndarray
     expected_infected: np.ndarray
     expected_isolated: np.ndarray
     pre_test_infected: np.ndarray
-    miss_prob: np.ndarray
 
 
 def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCurve:
@@ -190,7 +191,6 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
     lam = np.empty(steps)
     gam = np.empty(steps)
     pre = np.empty(steps)
-    miss = np.ones(steps)
 
     alpha[0] = params.n * (1.0 - params.p)
     lam[0] = params.n * params.p
@@ -204,10 +204,8 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
         new = min(params.q * a * l, a)
         l_spread = l + new
         a -= new
-        use_pooled = False
-        if policy == POLICY_SAFFRON_HYBRID:
-            use_pooled = saffron_group_size(params.n - g, l_spread, params.capacity) is not None
-        if use_pooled:
+        if (policy == POLICY_SAFFRON_HYBRID
+                and saffron_group_size(params.n - g, l_spread, params.capacity) is not None):
             zeta = saffron_expected_detections(params.n, params.capacity, g, l_spread)
         else:
             zeta = (params.capacity / params.n) * l_spread
@@ -217,6 +215,5 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
         lam[t] = l
         gam[t] = g
         pre[t] = l_spread
-        miss[t] = 1.0 - zeta / l_spread if l_spread > 0.0 else 1.0
     return TheoryCurve(expected_susceptible=alpha, expected_infected=lam,
-                       expected_isolated=gam, pre_test_infected=pre, miss_prob=miss)
+                       expected_isolated=gam, pre_test_infected=pre)

@@ -265,14 +265,14 @@ def test_c9_expected_alpha_individual(many_trials_individual):
     0.135, a gap of -0.16%, about 9 SE: no SE band fits a model gap, so the
     band is relative. 0.5% is three times the measured gap, and it still
     fails when the exponent is off by 10% (a gap of about -1%). Under the
-    hybrid policy the recursion's miss probabilities follow the planner's
-    open-loop estimate, and the closed form overshoots the simulation by
-    9.3% (672.3 vs 615.1 at ``SEED``, 20,000 trials): that is C7's
-    mechanism, so it is not asserted here.
+    hybrid policy the recursion follows the planner's open-loop estimate,
+    and its never-infected count overshoots the simulation by 9.8% (675.6
+    vs 615.1 at ``SEED``, 20,000 trials): that is C7's mechanism, so it is
+    not asserted here.
     """
     stats = many_trials_individual
     t = 500
-    alpha = expected_alpha(TheoryParams.from_config(stats.config), stats.theory.miss_prob[1:], t)
+    alpha = expected_alpha(TheoryParams.from_config(stats.config), t)
     mc = stats.mean_susceptible[t]
     se = math.sqrt(stats.var_susceptible[t] / stats.config.trials)
     gap = (alpha - mc) / mc

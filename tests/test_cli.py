@@ -204,8 +204,7 @@ def fixed_stats() -> TrajectoryStats:
                        [0.0, 0.1 + 0.2, 1e20, 5e-324, 333.33333333333, 999.999999999, 1.0],
                        [12.5, 12.505, 0.125, 0.135, 2.675, 1.005, 1e-5]])
     curve = TheoryCurve(expected_susceptible=series[0], expected_infected=series[2] * 3,
-                        expected_isolated=series[1], pre_test_infected=series[2],
-                        miss_prob=np.ones(7))
+                        expected_isolated=series[1], pre_test_infected=series[2])
     return TrajectoryStats(config=cfg, mean_susceptible=series[0], mean_infected=series[1],
                            mean_isolated=series[2], var_susceptible=series[0],
                            var_infected=series[1], var_isolated=series[2],

@@ -32,7 +32,6 @@ def random_params(rng):
 class TestParams:
     def test_growth_factor(self):
         assert BASE.growth_factor == pytest.approx(1.008, rel=1e-12)
-        assert BASE.individual_miss == pytest.approx(0.97, rel=1e-12)
         assert BASE.individual_decay == pytest.approx(0.97776, rel=1e-12)
 
     def test_growth_factor_at_least_one(self):
@@ -126,24 +125,37 @@ class TestEpsilonControlTime:
 
 class TestExpectedAlpha:
     def test_t_zero(self):
-        assert expected_alpha(BASE, [], 0) == pytest.approx(800.0, rel=1e-12)
+        assert expected_alpha(BASE, 0) == pytest.approx(800.0, rel=1e-12)
 
     def test_no_spread_keeps_everyone(self):
         params = TheoryParams(n=1000, capacity=30, p=0.2, q=0.0)
         for t in (0, 1, 5, 50):
-            assert expected_alpha(params, [0.97] * t, t) == pytest.approx(800.0, rel=1e-12)
+            assert expected_alpha(params, t) == pytest.approx(800.0, rel=1e-12)
 
     def test_two_steps_reference(self):
         # exponent 200*(1 + 1.008*0.97) = 395.552; 800*(1-1e-5)**395.552
-        value = expected_alpha(BASE, [0.97], 2)
+        value = expected_alpha(BASE, 2)
         assert value == pytest.approx(796.8418184520169, rel=1e-12)
+
+    def test_matches_geometric_sum(self):
+        d = BASE.individual_decay
+        for t in range(501):
+            exposure = BASE.n * BASE.p * (1.0 - d ** t) / (1.0 - d)
+            closed = BASE.n * (1.0 - BASE.p) * (1.0 - BASE.q) ** exposure
+            assert expected_alpha(BASE, t) == pytest.approx(closed, rel=1e-12)
 
     def test_nonincreasing_in_t(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            misses = rng.uniform(0.0, 1.0, size=30)
-            values = [expected_alpha(BASE, misses, t) for t in range(30)]
+            params = random_params(rng)
+            values = [expected_alpha(params, t) for t in range(30)]
             assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("q, t", [(0.01, 500), (1.0, 200)])
+    def test_growing_epidemic_reaches_zero_without_overflow(self, q, t):
+        # decay**t overflows a float here; the exposure saturates to inf instead
+        params = TheoryParams(n=1000, capacity=30, p=0.2, q=q)
+        assert expected_alpha(params, t) == 0.0
 
 
 class TestSaffronExpectedDetections:
@@ -218,10 +230,11 @@ class TestMeanTrajectory:
                       + curve.expected_isolated)
             assert np.all(np.abs(totals - params.n) <= 1e-9 * params.n)
 
-    def test_miss_prob_individual(self):
+    def test_individual_round_keeps_one_minus_capacity_share(self):
+        # each round isolates T/n of the post-spread infected count
         curve = mean_trajectory(BASE, "individual", 10)
-        assert np.allclose(curve.miss_prob[1:], 0.97, rtol=1e-12)
-        assert curve.miss_prob[0] == 1.0
+        kept = curve.expected_infected[1:] / curve.pre_test_infected[1:]
+        assert np.allclose(kept, 0.97, rtol=1e-12)
 
     def test_hybrid_switches_to_individual_eventually(self):
         curve = mean_trajectory(BASE, "saffron-hybrid", 500)

@@ -22,6 +22,13 @@ III.2) when the table fits its cap, and otherwise calls numpy's sampler:
 the multivariate hypergeometric one per trial for F
 (``_lone_groups_wide``), the hypergeometric one for the singles.
 
+Late in a run, or in a run of few trials, those array calls' fixed cost
+outweighs their work. A step with at most ``SCALAR_STEP_MAX`` live trials
+therefore runs on Python integers (``_scalar_step``): it makes the same
+numpy draws in the same order, one trial at a time, through the same
+samplers, so its counts and the generator's state after it are the array
+step's, bit for bit.
+
 The run aggregates per-step means and variances once per block of steps
 (``_aggregate``), extracts per-trial control times and attaches the
 matching expected-trajectory overlay.
@@ -33,6 +40,7 @@ the reference the count engine is tested against.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -64,12 +72,15 @@ LONE_TABLE_MAX_CELLS = 2 ** 11
 # runs at n = 10^5 and 10^6, every threshold from 37 to 57 came within ~8%.
 MARGINALS_MIN_ETA = 41
 
-# A draw over at most this many trials calls numpy's sampler once per trial
-# with Python scalars (``_draw``): the array path's argument checks cost more
-# than that many scalar calls. On one CPU the array call broke even with the
-# scalar loop at about 22 elements for ``hypergeometric`` and 8-12 for
-# ``binomial``.
-SCALAR_DRAW_MAX = 8
+# A step with at most this many live trials runs on Python integers
+# (``_scalar_step``), with the array step's draws. Timed on one pinned CPU
+# over steps recorded at n = 1000 (T = 30) and n = 10^5 (T = 3000), the
+# scalar step's cost relative to the array step's grew with the live trials
+# and first passed 1 for individual testing at n = 1000, whose singles read
+# a table: 0.36 at 1 trial, 0.94 at 10, 0.99 at 11, 1.05 at 12. At 16 it
+# was 0.78 for pooled steps at n = 1000, and 0.91 and 0.94 for individual
+# and pooled steps at n = 10^5.
+SCALAR_STEP_MAX = 11
 
 # ``run_experiment`` copies each step's counts into a (3, block, trials) int64
 # buffer and aggregates a block of steps at once (``_aggregate``), because
@@ -167,8 +178,8 @@ def _lone_cdf(groups: int, eta: int) -> np.ndarray:
     return cdf
 
 
-def _lone_groups_wide(infected: np.ndarray, groups: int, eta: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def _lone_groups_wide(infected: np.ndarray | list[int], groups: int, eta: int,
+                      rng: np.random.Generator) -> np.ndarray | list[int]:
     """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
 
     Trial j's K = infected[j] members sit uniformly at random among the
@@ -178,16 +189,18 @@ def _lone_groups_wide(infected: np.ndarray, groups: int, eta: int,
     time, with the method that is faster at this eta
     (``MARGINALS_MIN_ETA``). Below that eta the "count" method also
     allocates about 8 * groups * eta bytes of C scratch per call, which
-    tracemalloc does not see.
+    tracemalloc does not see. A list of counts gives a list.
     """
     slots = np.full(groups, eta)
     method = "marginals" if eta >= MARGINALS_MIN_ETA else "count"
-    return np.fromiter((np.count_nonzero(rng.multivariate_hypergeometric(slots, k, method=method) == 1)
-                        for k in infected.tolist()), dtype=np.int64, count=infected.size)
+    scalar = isinstance(infected, list)
+    lone = [np.count_nonzero(rng.multivariate_hypergeometric(slots, k, method=method) == 1)
+            for k in (infected if scalar else infected.tolist())]
+    return lone if scalar else np.array(lone, dtype=np.int64)
 
 
-def _lone_groups(infected: np.ndarray, groups: int, eta: int,
-                 rng: np.random.Generator) -> np.ndarray:
+def _lone_groups(infected: np.ndarray | list[int], groups: int, eta: int,
+                 rng: np.random.Generator) -> np.ndarray | list[int]:
     """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
 
     The members sit uniformly at random among the groups * eta slots. One
@@ -196,12 +209,14 @@ def _lone_groups(infected: np.ndarray, groups: int, eta: int,
     groups, where the planner fell back, holds K = 0. A round whose
     ``_lone_cdf`` table fits ``LONE_TABLE_MAX_CELLS`` inverts one uniform per
     trial through the table's row; a wider round draws each trial's group
-    counts (``_lone_groups_wide``).
+    counts (``_lone_groups_wide``). The array step passes an int64 array
+    and gets one back; the scalar step (``_scalar_step``) passes a list of
+    Python integers and gets a list back.
     """
     if groups < 2:
-        return infected == 1
+        return [int(k == 1) for k in infected] if isinstance(infected, list) else infected == 1
     if (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS:
-        return _invert(_lone_cdf(groups, eta), infected, rng.random(infected.size))
+        return _invert(_lone_cdf(groups, eta), infected, rng)
     return _lone_groups_wide(infected, groups, eta, rng)
 
 
@@ -234,39 +249,34 @@ def _singles_cdf(n: int, tests: int) -> np.ndarray:
     return cdf
 
 
-def _invert(cdf: np.ndarray, rows: np.ndarray, uniform: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: per trial, the number of entries of its row at or below its uniform."""
+def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
+            rng: np.random.Generator) -> np.ndarray | list[int]:
+    """Inverse-CDF draws: per trial, the number of entries of its row at or below one uniform.
+
+    The uniforms come from one call over the trials. A list of rows is
+    looked up by bisection, which counts the same entries as the array
+    comparison because no row decreases.
+    """
+    uniform = rng.random(len(rows))
+    if isinstance(rows, list):
+        return [bisect.bisect_right(cdf[k], u) for k, u in zip(rows, uniform.tolist())]
     return (cdf[rows] <= uniform[:, np.newaxis]).sum(axis=1)
 
 
-def _draw(sampler, *args) -> np.ndarray:
-    """``sampler(*args)`` as int64, one numpy call per element when the arrays are short.
-
-    ``sampler`` is a bound ``Generator`` method; the first argument is an
-    array, and the others are arrays of its length or scalars. Over at most
-    ``SCALAR_DRAW_MAX`` elements the sampler runs once per element, in order,
-    with Python scalars. numpy's array path runs the same C routine element by
-    element, so the draws and the generator's state after them are the same,
-    and each scalar call still checks its arguments; only the array path's
-    fixed checks are skipped.
-    """
-    size = args[0].size
-    if size > SCALAR_DRAW_MAX:
-        return sampler(*args)
-    columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
-    return np.fromiter(map(sampler, *columns), dtype=np.int64, count=size)
-
-
-def _singles(n: int, good: np.ndarray, tests: int, rng: np.random.Generator) -> np.ndarray:
+def _singles(n: int, good: np.ndarray | list[int], tests: int,
+             rng: np.random.Generator) -> np.ndarray | list[int]:
     """Positives among ``tests`` singleton tests drawn from all n, per trial of ``good`` infected.
 
     The law is Hypergeom(good, n - good, tests). When the ``_singles_cdf``
     table fits ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial is
-    inverted through its row; otherwise numpy's sampler runs (``_draw``).
+    inverted through its row; otherwise numpy's sampler runs, once per
+    trial on a list of counts.
     """
-    if (n + 1) * (tests + 1) > SINGLES_TABLE_MAX_CELLS:
-        return _draw(rng.hypergeometric, good, n - good, tests)
-    return _invert(_singles_cdf(n, tests), good, rng.random(good.size))
+    if (n + 1) * (tests + 1) <= SINGLES_TABLE_MAX_CELLS:
+        return _invert(_singles_cdf(n, tests), good, rng)
+    if isinstance(good, list):
+        return [rng.hypergeometric(k, n - k, tests) for k in good]
+    return rng.hypergeometric(good, n - good, tests)
 
 
 def _layout_keys(pools: np.ndarray, expected: float, n: int, capacity: int) -> np.ndarray:
@@ -283,6 +293,14 @@ def _layout_keys(pools: np.ndarray, expected: float, n: int, capacity: int) -> n
     return eta * (n + 1) + np.minimum(pools // eta, capacity // 2)
 
 
+def _pooling(cfg: SimConfig, expected: float) -> bool:
+    """Whether a step's rounds may pool: under the hybrid at an estimate of 1 or more.
+
+    ``saffron_group_size`` falls back for every pool below that estimate.
+    """
+    return cfg.policy == POLICY_SAFFRON_HYBRID and expected >= 1.0
+
+
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one testing round identifies, per trial, from post-spread counts.
@@ -294,17 +312,17 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     the hybrid policy otherwise, ``saffron_layout`` shapes each trial's
     round as (eta, groups, leftover) from its non-isolated pool, the
     individual-testing (0, 0, capacity) where it falls back; it runs once
-    per distinct ``_layout_keys`` key of the step. One ``_draw`` over every
-    trial puts Hypergeom(I, S, groups*eta) infected into its groups, 0 in a
-    trial that falls back. Then one pass per layout key of the step draws,
-    for that key's trials, the F infected that land alone in a group
-    (``_lone_groups``) and the Hypergeom(I - F, n - I + F, leftover) others
-    its singletons find (``_singles``). Keys that share a layout draw
-    separately, each from the same law.
+    per distinct ``_layout_keys`` key of the step. One hypergeometric call
+    over every trial puts Hypergeom(I, S, groups*eta) infected into its
+    groups, 0 in a trial that falls back. Then one pass per layout key of
+    the step, in ascending key order, draws, for that key's trials, the F
+    infected that land alone in a group (``_lone_groups``) and the
+    Hypergeom(I - F, n - I + F, leftover) others its singletons find
+    (``_singles``). Keys that share a layout draw separately, each from the
+    same law.
     """
     susceptible, infected, isolated = counts
-    # saffron_group_size falls back for every pool while the estimate is below 1
-    if cfg.policy != POLICY_SAFFRON_HYBRID or expected < 1.0:
+    if not _pooling(cfg, expected):
         return _singles(cfg.n, infected, cfg.capacity, rng)
     pools = cfg.n - isolated
     _, first, which = np.unique(_layout_keys(pools, expected, cfg.n, cfg.capacity),
@@ -312,13 +330,64 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     layouts = [saffron_layout(pool, expected, cfg.capacity) for pool in pools[first].tolist()]
     slots = np.array([eta * groups for eta, groups, _ in layouts])[which]
     # a fallback trial has no slots, so it draws 0 and consumes nothing
-    in_groups = _draw(rng.hypergeometric, infected, susceptible, slots)
+    in_groups = rng.hypergeometric(infected, susceptible, slots)
     found = np.zeros_like(infected)
     for k, (eta, groups, leftover) in enumerate(layouts):
         on = which == k
         lone = _lone_groups(in_groups[on], groups, eta, rng)
         found[on] = lone + (_singles(cfg.n, infected[on] - lone, leftover, rng) if leftover else 0)
     return found
+
+
+def _scalar_step(cfg: SimConfig, expected: float, counts: np.ndarray, log_miss: float,
+                 rng: np.random.Generator) -> tuple[list[int], list[int], list[int]]:
+    """One step of the live trials' (3, trials) ``counts`` on Python integers: new S, I and R.
+
+    It makes the array step's draws (the spread in ``run_experiment``, then
+    ``_detections``) in the same order, one trial at a time:
+
+    - the spread, Binomial(S, p) per trial, with p from the array step's
+      own ``-expm1(I * log(1 - q))`` over the same counts (``math.expm1``
+      differs from numpy's in the last bit at some arguments);
+    - the in-group Hypergeom(I, S, groups*eta) per trial in trial order,
+      skipped where the round pools nothing, as that zero-sample draw
+      consumes nothing;
+    - per layout key in ascending order, for its trials in trial order,
+      ``_lone_groups`` and ``_singles`` on lists.
+
+    numpy's array samplers run the same C routine element by element, so
+    the counts and the generator's state after the step equal the array
+    step's; only the array calls' fixed cost is gone.
+    """
+    susceptible, infected, isolated = counts.tolist()
+    for j, grow in enumerate(np.expm1(counts[1] * log_miss).tolist()):
+        new = rng.binomial(susceptible[j], -grow)
+        susceptible[j] -= new
+        infected[j] += new
+    if _pooling(cfg, expected):
+        on_key = {}
+        for j, key in enumerate(_layout_keys(cfg.n - counts[2], expected, cfg.n,
+                                             cfg.capacity).tolist()):
+            on_key.setdefault(key, []).append(j)
+        layouts = [(saffron_layout(cfg.n - isolated[on[0]], expected, cfg.capacity), on)
+                   for _, on in sorted(on_key.items())]
+        slots = [0] * len(infected)
+        for (eta, groups, _), on in layouts:
+            for j in on:
+                slots[j] = eta * groups
+        in_groups = [rng.hypergeometric(i, s, k) if k else 0
+                     for i, s, k in zip(infected, susceptible, slots)]
+        found = [0] * len(infected)
+        for (eta, groups, leftover), on in layouts:
+            lone = _lone_groups([in_groups[j] for j in on], groups, eta, rng)
+            others = (_singles(cfg.n, [infected[j] - f for j, f in zip(on, lone)], leftover, rng)
+                      if leftover else itertools.repeat(0))
+            for j, f, s in zip(on, lone, others):
+                found[j] = f + s
+    else:
+        found = _singles(cfg.n, infected, cfg.capacity, rng)
+    return (susceptible, [i - f for i, f in zip(infected, found)],
+            [r + f for r, f in zip(isolated, found)])
 
 
 def _aggregate(block: np.ndarray, total: np.ndarray, square_dev: np.ndarray) -> None:
@@ -362,8 +431,14 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     ``MARGINALS_MIN_ETA``, about 8*g*eta bytes of numpy's C scratch per
     draw (``_lone_groups_wide``). The cached tables add at most 16 MiB of
     singles tables and 4 MiB of lone-group tables.
-    A draw over at most ``SCALAR_DRAW_MAX`` live trials gives the same
-    draws as numpy's array call (``_draw``).
+
+    A step with at most ``SCALAR_STEP_MAX`` live trials runs on Python
+    integers (``_scalar_step``): it reads the counts with one ``tolist``,
+    makes the array step's draws in the same order one trial at a time,
+    writes the counts back once and checks extinction in Python. Its
+    counts and the generator's state after it equal the array step's, so
+    every output is bit-identical to a run of array steps alone, whatever
+    the constant.
     """
     cfg.validate()
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
@@ -390,15 +465,21 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
             start = t
         counts = latest[:, :live]
-        if t:
-            new = _draw(rng.binomial, counts[0], -np.expm1(counts[1] * log_miss))
-            counts[0] -= new
-            counts[1] += new
-            found = _detections(cfg, curve.pre_test_infected[t], counts, rng)
-            counts[1] -= found
-            counts[2] += found
+        if t and live <= SCALAR_STEP_MAX:
+            stepped = _scalar_step(cfg, curve.pre_test_infected[t], counts, log_miss, rng)
+            counts[:] = stepped
+            cleared_any = 0 in stepped[1]
+        else:
+            if t:
+                new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss))
+                counts[0] -= new
+                counts[1] += new
+                found = _detections(cfg, curve.pre_test_infected[t], counts, rng)
+                counts[1] -= found
+                counts[2] += found
+            cleared_any = not counts[1].all()
         buffer[:, t - start] = latest
-        if not counts[1].all():
+        if cleared_any:
             extinct = counts[1] == 0
             cleared = trial[:live][extinct]
             control_time[cleared] = t

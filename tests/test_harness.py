@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
 from sirpool import harness
-from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_DRAW_MAX, SINGLES_TABLE_MAX_CELLS, \
-    _detections, _layout_keys, _lone_cdf, _singles_cdf
+from sirpool.harness import LONE_TABLE_MAX_CELLS, SINGLES_TABLE_MAX_CELLS, \
+    _detections, _layout_keys, _lone_cdf, _scalar_step, _singles_cdf
 from sirpool.policies import saffron_layout
 from sirpool.theory import TheoryParams, expected_lambda_individual
 
@@ -222,6 +222,7 @@ class TestPooledRounds:
     REF = dict(n=1000, capacity=30, p=0.2, q=1e-5, horizon=500, policy="saffron-hybrid")
 
     def table_sized_round(self, copies):
+        """Post-spread counts of 6 * copies trials whose rounds all pool and read tables."""
         cfg = SimConfig(**self.REF)
         # pools of 1000, 800 and 700 at an estimate of 100: rounds of 3 groups
         # of 10 and 6 leftover singles, or of 5 groups of 8 or 7 and none
@@ -233,21 +234,37 @@ class TestPooledRounds:
         assert all((g + 1) * (g * eta + 1) <= LONE_TABLE_MAX_CELLS
                    and (cfg.n + 1) * (left + 1) <= SINGLES_TABLE_MAX_CELLS
                    for eta, g, left in layouts)
-        rng = CountingGenerator(3)
-        found = _detections(cfg, 100.0, counts, rng)
-        assert np.all((0 <= found) & (found <= infected))
-        assert not found[infected == 0].any()
-        return rng.calls.get("hypergeometric")
+        return cfg, counts
 
     def test_table_sized_round_makes_one_hypergeometric_call(self):
-        # every trial pools; past SCALAR_DRAW_MAX trials the in-group draw is
-        # one array call, and the tables serve the rest of the round
-        assert 12 > SCALAR_DRAW_MAX
-        assert self.table_sized_round(copies=2) == 1
+        # the in-group draw is one array call, and the tables serve the rest
+        cfg, counts = self.table_sized_round(copies=2)
+        rng = CountingGenerator(3)
+        found = _detections(cfg, 100.0, counts, rng)
+        assert np.all((0 <= found) & (found <= counts[1]))
+        assert not found[counts[1] == 0].any()
+        assert rng.calls == {"hypergeometric": 1, "random": 4}
 
-    def test_few_trial_round_makes_one_scalar_call_per_pooled_trial(self):
-        assert 6 <= SCALAR_DRAW_MAX
-        assert self.table_sized_round(copies=1) == 6
+    def test_scalar_step_draws_per_trial(self):
+        # one binomial and one in-group hypergeometric per trial, then one
+        # call of uniforms per table read: lone groups for each of the three
+        # layouts, singles only for the one with leftover tests
+        cfg, counts = self.table_sized_round(copies=1)
+        log_miss = math.log1p(-cfg.q)
+        rng = CountingGenerator(3)
+        stepped = np.array(_scalar_step(cfg, 100.0, counts, log_miss, rng))
+        assert rng.calls == {"binomial": 6, "hypergeometric": 6, "random": 4}
+        found = stepped[2] - counts[2]
+        assert np.array_equal(stepped.sum(axis=0), counts.sum(axis=0))
+        assert np.all((stepped >= 0) & (found >= 0))
+        assert not found[counts[1] == 0].any()
+        # a trial whose round falls back (a pool of 150, below twice the
+        # estimate) skips the in-group draw, which would consume nothing,
+        # and reads the capacity's singles table
+        counts = np.hstack([counts, [[100], [50], [850]]])
+        rng = CountingGenerator(3)
+        _scalar_step(cfg, 100.0, counts, log_miss, rng)
+        assert rng.calls == {"binomial": 7, "hypergeometric": 6, "random": 5}
 
     def test_mixed_layout_round(self):
         # at an estimate of 2 and capacity 40, pools of 3, 2050, 100, 682 and

@@ -16,6 +16,16 @@ from sirpool import harness
 from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_STEP_MAX, SINGLES_TABLE_MAX_CELLS
 from tests.test_harness import ndarray_fields
 
+LENGTHS = (0, 1, SCALAR_STEP_MAX, SCALAR_STEP_MAX + 1)
+
+# (n, p): p = 0, p = 1, n = 0 and the support's ends, then interior values
+BINOMIAL_EDGES = [(7, 0.0), (7, 1.0), (0, 0.4), (1, 0.5), (10 ** 6, 1e-6), (50, 0.3),
+                  (3000, 0.999), (12, 0.5), (100_000, 0.03)]
+# (good, bad, sample): sample = 0, good = 0, bad = 0, sample = good + bad, then
+# interior values
+HYPERGEOMETRIC_EDGES = [(5, 9, 0), (0, 9, 4), (6, 0, 3), (5, 9, 14), (1, 1, 1),
+                        (20_000, 80_000, 3000), (3, 997, 30), (400, 600, 500), (2, 2, 2)]
+
 REF = dict(n=1000, capacity=30, p=0.2, q=1e-5, horizon=500)
 
 CONFIGS = {
@@ -34,6 +44,30 @@ CONFIGS = {
     "hybrid-capacity-n": dict(n=60, capacity=60, p=0.3, q=1e-3, horizon=10,
                               policy="saffron-hybrid", trials=6, seed=7),
 }
+
+
+def argument_sets(name, length):
+    """Arguments of ``length`` rows, each edge row in turn first, then random interior rows.
+
+    Each set comes with an array last argument and with scalar ones.
+    """
+    edges = BINOMIAL_EDGES if name == "binomial" else HYPERGEOMETRIC_EDGES
+    dtypes = (np.int64, np.float64) if name == "binomial" else (np.int64,) * 3
+    for start in range(len(edges)):
+        picked = [edges[(start + k) % len(edges)] for k in range(min(length, len(edges)))]
+        rng = np.random.default_rng([length, start])
+        while len(picked) < length:
+            good, bad = rng.integers(0, 50, size=2).tolist()
+            picked.append((good, bad, int(rng.integers(0, good + bad + 1))) if name != "binomial"
+                          else (good, float(rng.random())))
+        args = [np.array([row[k] for row in picked], dtype=dtype) for k, dtype in enumerate(dtypes)]
+        yield args
+        if name == "binomial":
+            scalars = (0.0, 1.0, 0.3)
+        else:
+            scalars = {0, int((args[0] + args[1]).min()) if length else 0}
+        for last in scalars:
+            yield args[:-1] + [last]
 
 
 def run(monkeypatch, cfg, threshold):
@@ -79,6 +113,22 @@ def test_scalar_step_is_bit_identical_to_the_array_step(monkeypatch, name):
         assert np.unique(cleared).size > cfg.trials - SCALAR_STEP_MAX
 
 
+@pytest.mark.parametrize("length", LENGTHS)
+@pytest.mark.parametrize("name", ["binomial", "hypergeometric"])
+def test_draw_matches_the_array_call(name, length):
+    # the scalar step calls numpy's scalar sampler once per trial, on the
+    # Python values of the array step's arguments, and must get the array
+    # call's values and leave the generator in the same state
+    for seed, args in enumerate(argument_sets(name, length)):
+        mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = zip(*(a.tolist() if isinstance(a, np.ndarray) else [a] * length for a in args))
+        got = [getattr(mine, name)(*row) for row in rows]
+        want = getattr(numpys, name)(*args)
+        assert want.dtype == np.int64 and want.shape == (length,)
+        assert got == want.tolist(), (args, got, want)
+        assert mine.random() == numpys.random()
+
+
 @pytest.mark.parametrize("length", [0, 1, 8, 9])
 def test_zero_sample_draws_nothing(length):
     # every trial of a pooled step takes part in the in-group draw, and a
@@ -94,3 +144,22 @@ def test_zero_sample_draws_nothing(length):
     rng = np.random.default_rng(length)
     assert [rng.hypergeometric(k, k + 3, 0) for k in good.tolist()] == [0] * length
     assert rng.bit_generator.state == fresh
+
+
+LARGE = dict(n=100_000, capacity=3000, q=1e-7, horizon=40)
+
+
+@pytest.mark.parametrize("trials", [1, 2, SCALAR_STEP_MAX, SCALAR_STEP_MAX + 1])
+@pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+@pytest.mark.parametrize("p", [0.2, 2e-5])
+def test_engine_is_bit_identical_on_the_array_path(monkeypatch, p, policy, trials):
+    # p = 2e-5 leaves ~2 infected per trial, so trials clear within the
+    # horizon and a run with one trial over the constant falls to it
+    cfg = SimConfig(p=p, policy=policy, trials=trials, seed=11, **LARGE)
+    scalar = run_experiment(cfg)
+    array = run(monkeypatch, cfg, 0)
+    for name, a in ndarray_fields(scalar).items():
+        b = getattr(array, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    if p < 0.01 and trials > SCALAR_STEP_MAX:
+        assert (~scalar.control_censored).sum() >= trials - SCALAR_STEP_MAX

@@ -10,14 +10,12 @@ hypergeometric draws, vectorized over trials.
 A testing round has one layout per trial: g groups of eta under binary
 codes, and the leftover tests as singletons drawn from all n. Individual
 testing, and a hybrid round that falls back, is the layout with g = 0 and
-the whole capacity left over. A pooled step puts Hypergeom(I, S, g*eta) of
-each trial's infected into its groups, in one draw that spans every trial
-of the step; a trial with g = 0 draws 0. Then one pass per layout key of
-the step draws two counts for that key's trials: F, the groups holding
-exactly one infected (``_lone_groups``), and the positives among the
-leftover singletons (``_singles``). Each sampler serves one shape. It
-inverts one uniform per trial through a cached CDF table of its law
-(inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
+the whole capacity left over. A pooled step draws each trial's infected
+in its groups, then F, the groups holding exactly one infected
+(``_lone_groups``), and the positives among the leftover singletons
+(``_singles``), in the order ``_rounds`` states. Each sampler serves one
+shape. It inverts one uniform per trial through a cached CDF table of its
+law (inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 III.2) when the table fits its cap, and otherwise calls numpy's sampler:
 the multivariate hypergeometric one per trial for F
 (``_lone_groups_wide``), the hypergeometric one for the singles.
@@ -49,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sir import POLICY_SAFFRON_HYBRID, SimConfig, init_population, spread_phase
-from .policies import run_round, saffron_layout
-from .theory import TheoryCurve, TheoryParams, mean_trajectory
+from .policies import run_round
+from .theory import TheoryCurve, TheoryParams, mean_trajectory, saffron_layout
 
 # Singleton tests draw from the ``_singles_cdf`` table when its
 # (n+1)*(tests+1) float64 cells fit in this many (1 MiB); larger runs keep
@@ -76,10 +74,11 @@ MARGINALS_MIN_ETA = 41
 # (``_scalar_step``), with the array step's draws. Timed on one pinned CPU
 # over steps recorded at n = 1000 (T = 30) and n = 10^5 (T = 3000), the
 # scalar step's cost relative to the array step's grew with the live trials
-# and first passed 1 for individual testing at n = 1000, whose singles read
-# a table: 0.36 at 1 trial, 0.94 at 10, 0.99 at 11, 1.05 at 12. At 16 it
-# was 0.78 for pooled steps at n = 1000, and 0.91 and 0.94 for individual
-# and pooled steps at n = 10^5.
+# and first reached 1 for individual testing at n = 1000, whose singles read
+# a table: 0.33-0.35 at 1 trial, 0.93-0.96 at 10 and 11, 0.94-1.01 at 12
+# and 1.08 at 13, over two passes. At 16 it was 0.86 for pooled steps at
+# n = 1000, and 0.84-0.85 and 0.99 for individual and pooled steps at
+# n = 10^5.
 SCALAR_STEP_MAX = 11
 
 # ``run_experiment`` copies each step's counts into a (3, block, trials) int64
@@ -267,11 +266,14 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
              rng: np.random.Generator) -> np.ndarray | list[int]:
     """Positives among ``tests`` singleton tests drawn from all n, per trial of ``good`` infected.
 
-    The law is Hypergeom(good, n - good, tests). When the ``_singles_cdf``
-    table fits ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial is
-    inverted through its row; otherwise numpy's sampler runs, once per
-    trial on a list of counts.
+    The law is Hypergeom(good, n - good, tests). With no tests it finds
+    no one and draws nothing. When the ``_singles_cdf`` table fits
+    ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial is inverted through
+    its row; otherwise numpy's sampler runs, once per trial on a list of
+    counts.
     """
+    if not tests:
+        return [0] * len(good) if isinstance(good, list) else np.zeros_like(good)
     if (n + 1) * (tests + 1) <= SINGLES_TABLE_MAX_CELLS:
         return _invert(_singles_cdf(n, tests), good, rng)
     if isinstance(good, list):
@@ -301,6 +303,39 @@ def _pooling(cfg: SimConfig, expected: float) -> bool:
     return cfg.policy == POLICY_SAFFRON_HYBRID and expected >= 1.0
 
 
+def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray
+            ) -> tuple[list[tuple[tuple[int, int, int], np.ndarray]], np.ndarray]:
+    """A pooled step's rounds in draw order, and each trial's in-group slots.
+
+    Trials whose non-isolated ``pools`` share a ``_layout_keys`` key share a
+    round: its ``saffron_layout`` (eta, groups, leftover), read once, and
+    an array of its trials' indices in trial order. Rounds come in
+    ascending key order. A trial's slots are its round's groups * eta, 0
+    where the round falls back. Both steps draw a pooled step in this order:
+
+    - the in-group Hypergeom(I, S, slots) per trial, in trial order; a
+      trial without slots draws 0 and consumes nothing;
+    - per round, for its trials in trial order, the F infected that land
+      alone in a group (``_lone_groups``), then the Hypergeom(I - F,
+      n - I + F, leftover) others its singletons find (``_singles``).
+
+    Keys that share a layout draw separately, each from the same law.
+    """
+    keys = _layout_keys(pools, expected, cfg.n, cfg.capacity)
+    # a stable sort groups the trials without ``np.unique``'s fixed cost,
+    # which few trials never earn back, and without a Python loop over them,
+    # which many trials do not afford
+    order = keys.argsort(kind="stable")
+    ranked = keys[order].tolist()
+    stops = [bisect.bisect_right(ranked, key) for key in sorted(set(ranked))]
+    rounds = [(saffron_layout(int(pools[order[start]]), expected, cfg.capacity), order[start:stop])
+              for start, stop in zip([0] + stops, stops)]
+    slots = np.zeros(len(ranked), dtype=np.int64)
+    for (eta, groups, _), on in rounds:
+        slots[on] = eta * groups
+    return rounds, slots
+
+
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one testing round identifies, per trial, from post-spread counts.
@@ -308,34 +343,19 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     ``expected`` is the planner's estimate of the infected count, which only
     the hybrid policy reads. An individual-testing round, or a hybrid round
     at an estimate below 1, spends the whole capacity on singletons drawn
-    from all n, isolated individuals included (one ``_singles`` call). Under
-    the hybrid policy otherwise, ``saffron_layout`` shapes each trial's
-    round as (eta, groups, leftover) from its non-isolated pool, the
-    individual-testing (0, 0, capacity) where it falls back; it runs once
-    per distinct ``_layout_keys`` key of the step. One hypergeometric call
-    over every trial puts Hypergeom(I, S, groups*eta) infected into its
-    groups, 0 in a trial that falls back. Then one pass per layout key of
-    the step, in ascending key order, draws, for that key's trials, the F
-    infected that land alone in a group (``_lone_groups``) and the
-    Hypergeom(I - F, n - I + F, leftover) others its singletons find
-    (``_singles``). Keys that share a layout draw separately, each from the
-    same law.
+    from all n, isolated individuals included (one ``_singles`` call).
+    Otherwise it draws the step's ``_rounds`` on arrays: one in-group call
+    over every trial, then one call per sampler and round.
     """
     susceptible, infected, isolated = counts
     if not _pooling(cfg, expected):
         return _singles(cfg.n, infected, cfg.capacity, rng)
-    pools = cfg.n - isolated
-    _, first, which = np.unique(_layout_keys(pools, expected, cfg.n, cfg.capacity),
-                                return_index=True, return_inverse=True)
-    layouts = [saffron_layout(pool, expected, cfg.capacity) for pool in pools[first].tolist()]
-    slots = np.array([eta * groups for eta, groups, _ in layouts])[which]
-    # a fallback trial has no slots, so it draws 0 and consumes nothing
+    rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
     in_groups = rng.hypergeometric(infected, susceptible, slots)
     found = np.zeros_like(infected)
-    for k, (eta, groups, leftover) in enumerate(layouts):
-        on = which == k
+    for (eta, groups, leftover), on in rounds:
         lone = _lone_groups(in_groups[on], groups, eta, rng)
-        found[on] = lone + (_singles(cfg.n, infected[on] - lone, leftover, rng) if leftover else 0)
+        found[on] = lone + _singles(cfg.n, infected[on] - lone, leftover, rng)
     return found
 
 
@@ -344,16 +364,12 @@ def _scalar_step(cfg: SimConfig, expected: float, counts: np.ndarray, log_miss: 
     """One step of the live trials' (3, trials) ``counts`` on Python integers: new S, I and R.
 
     It makes the array step's draws (the spread in ``run_experiment``, then
-    ``_detections``) in the same order, one trial at a time:
-
-    - the spread, Binomial(S, p) per trial, with p from the array step's
-      own ``-expm1(I * log(1 - q))`` over the same counts (``math.expm1``
-      differs from numpy's in the last bit at some arguments);
-    - the in-group Hypergeom(I, S, groups*eta) per trial in trial order,
-      skipped where the round pools nothing, as that zero-sample draw
-      consumes nothing;
-    - per layout key in ascending order, for its trials in trial order,
-      ``_lone_groups`` and ``_singles`` on lists.
+    ``_detections``) in the same order, one trial at a time: the spread,
+    Binomial(S, p) per trial, with p from the array step's own
+    ``-expm1(I * log(1 - q))`` over the same counts (``math.expm1`` differs
+    from numpy's in the last bit at some arguments), then the round's draws
+    in ``_rounds``' order, on lists. It skips an in-group draw without
+    slots, as that zero-sample draw consumes nothing.
 
     numpy's array samplers run the same C routine element by element, so
     the counts and the generator's state after the step equal the array
@@ -365,23 +381,14 @@ def _scalar_step(cfg: SimConfig, expected: float, counts: np.ndarray, log_miss: 
         susceptible[j] -= new
         infected[j] += new
     if _pooling(cfg, expected):
-        on_key = {}
-        for j, key in enumerate(_layout_keys(cfg.n - counts[2], expected, cfg.n,
-                                             cfg.capacity).tolist()):
-            on_key.setdefault(key, []).append(j)
-        layouts = [(saffron_layout(cfg.n - isolated[on[0]], expected, cfg.capacity), on)
-                   for _, on in sorted(on_key.items())]
-        slots = [0] * len(infected)
-        for (eta, groups, _), on in layouts:
-            for j in on:
-                slots[j] = eta * groups
+        rounds, slots = _rounds(cfg, expected, cfg.n - counts[2])
         in_groups = [rng.hypergeometric(i, s, k) if k else 0
-                     for i, s, k in zip(infected, susceptible, slots)]
+                     for i, s, k in zip(infected, susceptible, slots.tolist())]
         found = [0] * len(infected)
-        for (eta, groups, leftover), on in layouts:
+        for (eta, groups, leftover), on in rounds:
+            on = on.tolist()
             lone = _lone_groups([in_groups[j] for j in on], groups, eta, rng)
-            others = (_singles(cfg.n, [infected[j] - f for j, f in zip(on, lone)], leftover, rng)
-                      if leftover else itertools.repeat(0))
+            others = _singles(cfg.n, [infected[j] - f for j, f in zip(on, lone)], leftover, rng)
             for j, f, s in zip(on, lone, others):
                 found[j] = f + s
     else:
@@ -410,14 +417,13 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     draws every trial's steps together, so a trial's path also depends on
     cfg.trials. Each step, for the trials still holding infections, spread
     is Binomial(S, 1-(1-q)^I) and the round's detections come from
-    ``_detections``, one pass per layout key of the step; the initial
-    infected count is Binomial(n, p). Counts are recorded after the testing
-    phase of each step (step 0 is the freshly drawn population). A trial
-    with no circulating infections never changes again, so it stops
-    drawing, and once every trial has, the remaining steps are filled. Each
-    step's counts of all trials wait in a (3, block, trials) buffer, and a
-    full block, or the steps held when the loop ends, is aggregated at once
-    (``_aggregate``); block is min(horizon + 1, max(1,
+    ``_detections``; the initial infected count is Binomial(n, p). Counts
+    are recorded after the testing phase of each step (step 0 is the freshly
+    drawn population). A trial with no circulating infections never changes
+    again, so it stops drawing, and once every trial has, the remaining
+    steps are filled. Each step's counts of all trials wait in a (3, block,
+    trials) buffer, and a full block, or the steps held when the loop ends,
+    is aggregated at once (``_aggregate``); block is min(horizon + 1, max(1,
     ``AGGREGATE_BLOCK_CELLS`` // trials)). Variances are summed about each
     step's floor(mean), from deviations that are exact integers, so trials
     that all hold one count give exactly 0 at any n, and the sums do not

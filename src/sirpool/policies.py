@@ -1,10 +1,10 @@
-"""Per-round test planning and the round driver.
+"""The per-individual oracle's planner and round driver.
 
 Two planners, both returning a TestMatrix no taller than the per-round
-capacity: random individual testing, and the hybrid pooled policy that packs
-as many code blocks as fit, tops the round up with random singleton tests,
-and packs none, which is individual testing, in the regimes where pooling
-stops paying off.
+capacity: random individual testing, and the hybrid pooled policy, which
+draws the round that ``theory.saffron_layout`` shapes: as many code blocks
+as fit, topped up with random singleton tests, and none, which is
+individual testing, in the regimes where pooling stops paying off.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import RoundOutcome, TestMatrix, assemble_matrix, code_width, decode_round, \
-    evaluate_tests
+from .codec import RoundOutcome, TestMatrix, assemble_matrix, decode_round, evaluate_tests
 from .sir import POLICY_INDIVIDUAL, POLICY_SAFFRON_HYBRID, PopulationState, Status, isolate
-from .theory import saffron_group_size
+from .theory import saffron_layout
 
 
 @dataclass(frozen=True)
@@ -42,25 +41,6 @@ def plan_individual(ctx: PolicyContext, rng: np.random.Generator) -> TestMatrix:
     """
     tested = rng.choice(ctx.n, size=ctx.capacity, replace=False)
     return assemble_matrix(ctx.n, [], tested)
-
-
-def saffron_layout(pool: int, expected_infected: float,
-                   capacity: int) -> tuple[int, int, int]:
-    """Shape of a round as (eta, groups, leftover).
-
-    eta comes from theory.saffron_group_size over the ``pool`` non-isolated
-    individuals. floor(capacity / (2*ceil(log2(eta)))) groups fit, capped at
-    what the pool can supply, and the ``leftover`` rows they do not use go to
-    singleton tests. The group-size rule guarantees at least one group fits.
-    When the rule falls back the round pools nothing: (0, 0, capacity), an
-    individual-testing round.
-    """
-    eta = saffron_group_size(pool, expected_infected, capacity)
-    if eta is None:
-        return 0, 0, capacity
-    rows_per_group = 2 * code_width(eta)
-    groups = min(capacity // rows_per_group, pool // eta)
-    return eta, groups, capacity - groups * rows_per_group
 
 
 def plan_saffron_hybrid(ctx: PolicyContext, non_isolated,

@@ -2,8 +2,9 @@
 
 Closed forms for the individual-testing policy, each read from one per-step
 decay factor (expected circulating infections per step, the time to drive
-them below a threshold, and the never-infected count); the expected
-per-round detection count of the pooled policy; and a step-by-step
+them below a threshold, and the never-infected count); the pooled
+planner's round plan (``saffron_group_size`` and ``saffron_layout``) and the
+expected per-round detection count of the pooled policy; and a step-by-step
 recursion that produces the full expected trajectory either policy traces
 out. The expressions drop correction terms that vanish only for large
 populations with weak per-pair transmission; at moderate sizes they are
@@ -117,7 +118,7 @@ def saffron_expected_detections(n: int, capacity: int, isolated: float,
     capped at expected_infected. Only applicable while expected_infected >= 1
     and eta >= 2; outside that regime callers must plan individual tests.
 
-    The group count is real-valued, while ``policies.saffron_layout`` packs
+    The group count is real-valued, while ``saffron_layout`` packs
     min(floor(T / (2*ceil(log2 eta))), pool // eta) whole groups of the
     integer size. Over the 176 pooled steps of the reference hybrid
     recursion (n=1000, T=30, p=0.2, q=1e-5) this formula counts a median
@@ -157,6 +158,25 @@ def saffron_group_size(pool: float, expected_infected: float, capacity: int) -> 
     if capacity < 2 * code_width(eta):
         return None
     return eta
+
+
+def saffron_layout(pool: int, expected_infected: float,
+                   capacity: int) -> tuple[int, int, int]:
+    """Shape of a round as (eta, groups, leftover).
+
+    eta comes from ``saffron_group_size`` over the ``pool`` non-isolated
+    individuals. floor(capacity / (2*ceil(log2(eta)))) groups fit, capped at
+    what the pool can supply, and the ``leftover`` rows they do not use go to
+    singleton tests. The group-size rule guarantees at least one group fits.
+    When the rule falls back the round pools nothing: (0, 0, capacity), an
+    individual-testing round.
+    """
+    eta = saffron_group_size(pool, expected_infected, capacity)
+    if eta is None:
+        return 0, 0, capacity
+    rows_per_group = 2 * code_width(eta)
+    groups = min(capacity // rows_per_group, pool // eta)
+    return eta, groups, capacity - groups * rows_per_group
 
 
 @dataclass

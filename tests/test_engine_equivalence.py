@@ -18,8 +18,7 @@ import pytest
 
 from sirpool import SimConfig, run_experiment
 from sirpool.harness import LONE_TABLE_MAX_CELLS, run_trial, trial_rng
-from sirpool.policies import saffron_layout
-from sirpool.theory import TheoryParams, mean_trajectory
+from sirpool.theory import TheoryParams, mean_trajectory, saffron_layout
 
 ENGINE_TRIALS = 20_000
 ORACLE_TRIALS = 1_500

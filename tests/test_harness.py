@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
 from sirpool import harness
 from sirpool.harness import LONE_TABLE_MAX_CELLS, SINGLES_TABLE_MAX_CELLS, \
-    _detections, _layout_keys, _lone_cdf, _scalar_step, _singles_cdf
-from sirpool.policies import saffron_layout
-from sirpool.theory import TheoryParams, expected_lambda_individual
+    _detections, _layout_keys, _lone_cdf, _rounds, _scalar_step, _singles_cdf
+from sirpool.theory import TheoryParams, expected_lambda_individual, saffron_layout
 
 
 def small_cfg(**kwargs):
@@ -339,12 +338,23 @@ class TestPooledRounds:
         capacity = max(1, min(n, round(n ** capacity_at)))
         expected = max(1.0, n ** expected_at)
         center = round(n * center_at)
-        pools = np.arange(max(0, center - 200), min(n, center + 200) + 1)
-        _, first, which = np.unique(_layout_keys(pools, np.float64(expected), n, capacity),
-                                    return_index=True, return_inverse=True)
-        layouts = [saffron_layout(pool, expected, capacity) for pool in pools.tolist()]
-        for k, key in enumerate(which.tolist()):
-            assert layouts[k] == layouts[first[key]], (pools[k], pools[first[key]])
+        # the window's pools in an order of their own, so trial order is not key order
+        pools = np.random.default_rng(n).permutation(
+            np.arange(max(0, center - 200), min(n, center + 200) + 1))
+        cfg = SimConfig(n=n, capacity=capacity, policy="saffron-hybrid")
+        rounds, slots = _rounds(cfg, np.float64(expected), pools)
+        keys = _layout_keys(pools, np.float64(expected), n, capacity).tolist()
+        trials = [on.tolist() for _, on in rounds]
+        # the rounds partition the trials, keys ascend, and trials keep their order
+        assert sorted(j for on in trials for j in on) == list(range(pools.size))
+        assert all(on == sorted(on) and {keys[j] for j in on} == {keys[on[0]]} for on in trials)
+        round_keys = [keys[on[0]] for on in trials]
+        assert round_keys == sorted(set(round_keys))
+        for ((eta, groups, leftover), _), on in zip(rounds, trials):
+            for j in on:
+                assert saffron_layout(int(pools[j]), expected, capacity) \
+                    == (eta, groups, leftover), (pools[j], pools[on[0]])
+                assert slots[j] == eta * groups
 
 
 def ndarray_fields(stats):

@@ -3,9 +3,9 @@ import pytest
 
 from sirpool import SimConfig
 from sirpool.codec import Verdict, code_width
-from sirpool.policies import PolicyContext, plan_individual, plan_saffron_hybrid, run_round, \
-    saffron_layout
+from sirpool.policies import PolicyContext, plan_individual, plan_saffron_hybrid, run_round
 from sirpool.sir import Status, init_population, spread_phase
+from sirpool.theory import saffron_layout
 from tests.test_sir import make_state
 
 

@@ -200,40 +200,28 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
     infected compartment; then the expected detection count (the pooled
     formula while the hybrid's switch rule allows it, capacity/n of the
     infected otherwise) moves infected mass into isolation. Compartments sum
-    to n at every step by construction.
+    to n at every step by construction. Each step's (alpha, lam, gamma,
+    pre-test lam) tuple is derived from the previous one, and the four
+    float64 arrays are built once, at the end.
     """
     if policy not in (POLICY_INDIVIDUAL, POLICY_SAFFRON_HYBRID):
         raise ValueError(f"unknown policy {policy!r}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    steps = horizon + 1
-    alpha = np.empty(steps)
-    lam = np.empty(steps)
-    gam = np.empty(steps)
-    pre = np.empty(steps)
-
-    alpha[0] = params.n * (1.0 - params.p)
-    lam[0] = params.n * params.p
-    gam[0] = 0.0
-    pre[0] = lam[0]
-
-    a, l, g = alpha[0], lam[0], gam[0]
-    for t in range(1, steps):
+    n, capacity, q = params.n, params.capacity, params.q
+    rows = [(n * (1.0 - params.p), n * params.p, 0.0, n * params.p)]
+    for _ in range(horizon):
+        a, l, g, _ = rows[-1]
         # bilinear spread transfer, clamped so no more mass moves than exists
         # (the clamp only binds outside the q*lam << 1 regime)
-        new = min(params.q * a * l, a)
+        new = min(q * a * l, a)
         l_spread = l + new
-        a -= new
         if (policy == POLICY_SAFFRON_HYBRID
-                and saffron_group_size(params.n - g, l_spread, params.capacity) is not None):
-            zeta = saffron_expected_detections(params.n, params.capacity, g, l_spread)
+                and saffron_group_size(n - g, l_spread, capacity) is not None):
+            zeta = saffron_expected_detections(n, capacity, g, l_spread)
         else:
-            zeta = (params.capacity / params.n) * l_spread
-        l = l_spread - zeta
-        g += zeta
-        alpha[t] = a
-        lam[t] = l
-        gam[t] = g
-        pre[t] = l_spread
+            zeta = (capacity / n) * l_spread
+        rows.append((a - new, l_spread - zeta, g + zeta, l_spread))
+    alpha, lam, gam, pre = (np.array(column, dtype=np.float64) for column in zip(*rows))
     return TheoryCurve(expected_susceptible=alpha, expected_infected=lam,
                        expected_isolated=gam, pre_test_infected=pre)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,10 @@ class TestExpectedAlpha:
         for t in (0, 1, 5, 50):
             assert expected_alpha(params, t) == pytest.approx(800.0, rel=1e-12)
 
+    def test_rejects_negative_t(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            expected_alpha(BASE, -1)
+
     def test_two_steps_reference(self):
         # exponent 200*(1 + 1.008*0.97) = 395.552; 800*(1-1e-5)**395.552
         value = expected_alpha(BASE, 2)
@@ -174,6 +179,10 @@ class TestSaffronExpectedDetections:
     def test_small_expected_infected_rejected(self):
         with pytest.raises(ValueError):
             saffron_expected_detections(1000, 30, 0, 0.5)
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ValueError, match="no non-isolated individuals left"):
+            saffron_expected_detections(1000, 30, 1000, 2.0)
 
     def test_capped_at_expected_infected(self):
         # huge capacity cannot detect more infections than exist
@@ -266,3 +275,20 @@ class TestMeanTrajectory:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             mean_trajectory(BASE, "both", 10)
+
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            mean_trajectory(BASE, "individual", -1)
+
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_float64_arrays_from_step_zero(self, policy):
+        # integer p (SimConfig accepts 0 and 1) and numpy n must not leak
+        # integer or short arrays, least of all at horizon 0
+        for n, p in [(1000, 0.2), (1000, 0), (1000, 1), (np.int64(1000), 0.2)]:
+            params = TheoryParams(n=n, capacity=30, p=p, q=1e-5)
+            for horizon in (0, 1):
+                curve = mean_trajectory(params, policy, horizon)
+                arrays = [getattr(curve, f.name) for f in dataclasses.fields(curve)]
+                for array in arrays:
+                    assert array.dtype == np.float64 and array.shape == (horizon + 1,)
+                assert [array[0] for array in arrays] == [n * (1 - p), n * p, 0.0, n * p]

@@ -201,15 +201,17 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
     formula while the hybrid's switch rule allows it, capacity/n of the
     infected otherwise) moves infected mass into isolation. Compartments sum
     to n at every step by construction. Each step's (alpha, lam, gamma,
-    pre-test lam) tuple is derived from the previous one, and the four
-    float64 arrays are built once, at the end.
+    pre-test lam) tuple is derived from the previous one in Python floats,
+    and the four float64 arrays are built once, at the end.
     """
     if policy not in (POLICY_INDIVIDUAL, POLICY_SAFFRON_HYBRID):
         raise ValueError(f"unknown policy {policy!r}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    n, capacity, q = params.n, params.capacity, params.q
-    rows = [(n * (1.0 - params.p), n * params.p, 0.0, n * params.p)]
+    # Python floats, so a float32 p or q cannot pull the state below float64
+    n, capacity, q = params.n, params.capacity, float(params.q)
+    a, l = float(n * (1.0 - params.p)), float(n * params.p)
+    rows = [(a, l, 0.0, l)]
     for _ in range(horizon):
         a, l, g, _ = rows[-1]
         # bilinear spread transfer, clamped so no more mass moves than exists

@@ -127,15 +127,13 @@ class TestEpsilonControlTime:
 class TestExpectedAlpha:
     def test_t_zero(self):
         assert expected_alpha(BASE, 0) == pytest.approx(800.0, rel=1e-12)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            expected_alpha(BASE, -1)
 
     def test_no_spread_keeps_everyone(self):
         params = TheoryParams(n=1000, capacity=30, p=0.2, q=0.0)
         for t in (0, 1, 5, 50):
             assert expected_alpha(params, t) == pytest.approx(800.0, rel=1e-12)
-
-    def test_rejects_negative_t(self):
-        with pytest.raises(ValueError, match="t must be >= 0"):
-            expected_alpha(BASE, -1)
 
     def test_two_steps_reference(self):
         # exponent 200*(1 + 1.008*0.97) = 395.552; 800*(1-1e-5)**395.552
@@ -172,17 +170,14 @@ class TestSaffronExpectedDetections:
     def test_zero_capacity_zero_detections(self):
         assert saffron_expected_detections(1000, 0, 0, 200.0) == 0.0
 
-    def test_group_size_one_rejected(self):
-        with pytest.raises(ValueError):
-            saffron_expected_detections(1000, 30, 0, 1000.0)
-
-    def test_small_expected_infected_rejected(self):
-        with pytest.raises(ValueError):
-            saffron_expected_detections(1000, 30, 0, 0.5)
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError, match="no non-isolated individuals left"):
-            saffron_expected_detections(1000, 30, 1000, 2.0)
+    @pytest.mark.parametrize("isolated, expected_infected, message", [
+        (0, 1000.0, "is below 2"),  # group size 1
+        (0, 0.5, "needs expected_infected >= 1"),
+        (1000, 2.0, "no non-isolated individuals left"),
+    ])
+    def test_outside_regime_rejected(self, isolated, expected_infected, message):
+        with pytest.raises(ValueError, match=message):
+            saffron_expected_detections(1000, 30, isolated, expected_infected)
 
     def test_capped_at_expected_infected(self):
         # huge capacity cannot detect more infections than exist
@@ -272,13 +267,13 @@ class TestMeanTrajectory:
         zeta = saffron_expected_detections(1000, 30, 0.0, pre)
         assert curve.expected_infected[1] == pytest.approx(pre - zeta, rel=1e-12)
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            mean_trajectory(BASE, "both", 10)
-
-    def test_rejects_negative_horizon(self):
-        with pytest.raises(ValueError, match="horizon must be >= 0"):
-            mean_trajectory(BASE, "individual", -1)
+    @pytest.mark.parametrize("policy, horizon, message", [
+        ("both", 10, "unknown policy"),
+        ("individual", -1, "horizon must be >= 0"),
+    ])
+    def test_rejects_unknown_policy_or_negative_horizon(self, policy, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            mean_trajectory(BASE, policy, horizon)
 
     @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
     def test_float64_arrays_from_step_zero(self, policy):
@@ -292,3 +287,24 @@ class TestMeanTrajectory:
                 for array in arrays:
                     assert array.dtype == np.float64 and array.shape == (horizon + 1,)
                 assert [array[0] for array in arrays] == [n * (1 - p), n * p, 0.0, n * p]
+
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_float32_inputs_run_in_float64(self, policy):
+        # SimConfig takes any real p and q; a float32 one must not pull the
+        # state down to float32. q only enters the spread, so its curve is
+        # the curve of the same value as a Python float.
+        q32 = np.float32(1e-5)
+        typed = mean_trajectory(TheoryParams(n=1000, capacity=30, p=0.2, q=q32), policy, 200)
+        plain = mean_trajectory(TheoryParams(n=1000, capacity=30, p=0.2, q=float(q32)),
+                                policy, 200)
+        for f in dataclasses.fields(typed):
+            np.testing.assert_array_equal(getattr(typed, f.name), getattr(plain, f.name))
+        # p only sets step 0; step 1 follows from it in Python floats
+        curve = mean_trajectory(TheoryParams(n=1000, capacity=30, p=np.float32(0.2), q=1e-5),
+                                policy, 1)
+        a, l = float(curve.expected_susceptible[0]), float(curve.expected_infected[0])
+        pre = l + 1e-5 * a * l
+        zeta = (saffron_expected_detections(1000, 30, 0.0, pre)
+                if policy == "saffron-hybrid" else 30 / 1000 * pre)
+        assert curve.pre_test_infected[1] == pre
+        assert curve.expected_infected[1] == pre - zeta

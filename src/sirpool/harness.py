@@ -21,11 +21,13 @@ the multivariate hypergeometric one per trial for F
 (``_lone_groups_wide``), the hypergeometric one for the singles.
 
 Late in a run, or in a run of few trials, those array calls' fixed cost
-outweighs their work. A step with at most ``SCALAR_STEP_MAX`` live trials
-therefore runs on Python integers (``_scalar_step``): it makes the same
-numpy draws in the same order, one trial at a time, through the same
-samplers, so its counts and the generator's state after it are the array
-step's, bit for bit.
+outweighs their work. A cleared trial never comes back, so from the first
+step with at most ``SCALAR_STEP_MAX`` live trials to the end of the run,
+every step runs on Python integers (``_scalar_step``), in one phase that
+keeps the live counts in lists: each step makes the same numpy draws in
+the same order, one trial at a time, through the same samplers, so its
+counts and the generator's state after it are the array step's, bit for
+bit.
 
 The run aggregates per-step means and variances once per block of steps
 (``_aggregate``), extracts per-trial control times and attaches the
@@ -70,15 +72,16 @@ LONE_TABLE_MAX_CELLS = 2 ** 11
 # runs at n = 10^5 and 10^6, every threshold from 37 to 57 came within ~8%.
 MARGINALS_MIN_ETA = 41
 
-# A step with at most this many live trials runs on Python integers
-# (``_scalar_step``), with the array step's draws. Timed on one pinned CPU
-# over steps recorded at n = 1000 (T = 30) and n = 10^5 (T = 3000), the
-# scalar step's cost relative to the array step's grew with the live trials
-# and first reached 1 for individual testing at n = 1000, whose singles read
-# a table: 0.33-0.35 at 1 trial, 0.93-0.96 at 10 and 11, 0.94-1.01 at 12
-# and 1.08 at 13, over two passes. At 16 it was 0.86 for pooled steps at
-# n = 1000, and 0.84-0.85 and 0.99 for individual and pooled steps at
-# n = 10^5.
+# From the first step with at most this many live trials, every step of the
+# run runs on Python integers (``_scalar_step``), with the array step's
+# draws: live trials never rise, so once scalar, always scalar. Timed on one
+# pinned CPU over steps recorded at n = 1000 (T = 30) and n = 10^5
+# (T = 3000), the scalar step's cost relative to the array step's grew with
+# the live trials and first reached 1 for individual testing at n = 1000,
+# whose singles read a table: 0.33-0.35 at 1 trial, 0.93-0.96 at 10 and 11,
+# 0.94-1.01 at 12 and 1.08 at 13, over two passes. At 16 it was 0.86 for
+# pooled steps at n = 1000, and 0.84-0.85 and 0.99 for individual and
+# pooled steps at n = 10^5.
 SCALAR_STEP_MAX = 11
 
 # ``run_experiment`` copies each step's counts into a (3, block, trials) int64
@@ -188,12 +191,12 @@ def _lone_groups_wide(infected: np.ndarray | list[int], groups: int, eta: int,
     time, with the method that is faster at this eta
     (``MARGINALS_MIN_ETA``). Below that eta the "count" method also
     allocates about 8 * groups * eta bytes of C scratch per call, which
-    tracemalloc does not see. A list of counts gives a list.
+    tracemalloc does not see. A list of counts gives a list of Python integers.
     """
     slots = np.full(groups, eta)
     method = "marginals" if eta >= MARGINALS_MIN_ETA else "count"
     scalar = isinstance(infected, list)
-    lone = [np.count_nonzero(rng.multivariate_hypergeometric(slots, k, method=method) == 1)
+    lone = [int(np.count_nonzero(rng.multivariate_hypergeometric(slots, k, method=method) == 1))
             for k in (infected if scalar else infected.tolist())]
     return lone if scalar else np.array(lone, dtype=np.int64)
 
@@ -359,14 +362,15 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     return found
 
 
-def _scalar_step(cfg: SimConfig, expected: float, counts: np.ndarray, log_miss: float,
+def _scalar_step(cfg: SimConfig, expected: float,
+                 counts: tuple[list[int], list[int], list[int]], log_miss: float,
                  rng: np.random.Generator) -> tuple[list[int], list[int], list[int]]:
-    """One step of the live trials' (3, trials) ``counts`` on Python integers: new S, I and R.
+    """One step of the live trials' S, I and R ``counts`` on Python integers: new S, I and R.
 
     It makes the array step's draws (the spread in ``run_experiment``, then
     ``_detections``) in the same order, one trial at a time: the spread,
-    Binomial(S, p) per trial, with p from the array step's own
-    ``-expm1(I * log(1 - q))`` over the same counts (``math.expm1`` differs
+    Binomial(S, p) per trial, with p from numpy's ``-expm1(I * log(1 - q))``
+    over the live I, as the array step computes it (``math.expm1`` differs
     from numpy's in the last bit at some arguments), then the round's draws
     in ``_rounds``' order, on lists. It skips an in-group draw without
     slots, as that zero-sample draw consumes nothing.
@@ -375,13 +379,16 @@ def _scalar_step(cfg: SimConfig, expected: float, counts: np.ndarray, log_miss: 
     the counts and the generator's state after the step equal the array
     step's; only the array calls' fixed cost is gone.
     """
-    susceptible, infected, isolated = counts.tolist()
-    for j, grow in enumerate(np.expm1(counts[1] * log_miss).tolist()):
+    susceptible, infected, isolated = counts
+    # copies: the caller's pending rows keep the lists it passed
+    susceptible, infected = susceptible[:], infected[:]
+    # a Python float product rounds as numpy's int64-by-float64 one does
+    for j, grow in enumerate(np.expm1([i * log_miss for i in infected]).tolist()):
         new = rng.binomial(susceptible[j], -grow)
         susceptible[j] -= new
         infected[j] += new
     if _pooling(cfg, expected):
-        rounds, slots = _rounds(cfg, expected, cfg.n - counts[2])
+        rounds, slots = _rounds(cfg, expected, np.array([cfg.n - r for r in isolated]))
         in_groups = [rng.hypergeometric(i, s, k) if k else 0
                      for i, s, k in zip(infected, susceptible, slots.tolist())]
         found = [0] * len(infected)
@@ -395,6 +402,24 @@ def _scalar_step(cfg: SimConfig, expected: float, counts: np.ndarray, log_miss: 
         found = _singles(cfg.n, infected, cfg.capacity, rng)
     return (susceptible, [i - f for i, f in zip(infected, found)],
             [r + f for r, f in zip(isolated, found)])
+
+
+def _clear(t: int, latest: np.ndarray, trial: np.ndarray, live: int,
+           control_time: np.ndarray, censored: np.ndarray) -> int:
+    """Retire the live trials that hold no infections after step ``t``; returns how many stay live.
+
+    ``latest``'s first ``live`` columns hold the live trials' counts, and
+    ``trial`` their indices. The cleared trials get control time ``t`` and
+    move, in a stable reorder, to the frozen part after the live ones.
+    """
+    extinct = latest[1, :live] == 0
+    cleared = trial[:live][extinct]
+    control_time[cleared] = t
+    censored[cleared] = False
+    order = np.argsort(extinct, kind="stable")
+    latest[:, :live] = latest[:, :live][:, order]
+    trial[:live] = trial[:live][order]
+    return live - cleared.size
 
 
 def _aggregate(block: np.ndarray, total: np.ndarray, square_dev: np.ndarray) -> None:
@@ -422,7 +447,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     drawn population). A trial with no circulating infections never changes
     again, so it stops drawing, and once every trial has, the remaining
     steps are filled. Each step's counts of all trials wait in a (3, block,
-    trials) buffer, and a full block, or the steps held when the loop ends,
+    trials) buffer, and a full block, or the steps held when the run ends,
     is aggregated at once (``_aggregate``); block is min(horizon + 1, max(1,
     ``AGGREGATE_BLOCK_CELLS`` // trials)). Variances are summed about each
     step's floor(mean), from deviations that are exact integers, so trials
@@ -430,6 +455,9 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     depend on the block length while they stay below 2^53. Memory is
     O(trials + horizon), plus the buffer and its float64 deviations,
     together at most 1.5 MiB or, past 2^15 trials, 48 bytes per trial, plus
+    the scalar phase's pending rows, at most block*3*``SCALAR_STEP_MAX``
+    Python integers of about 36 bytes each (0.6 MiB at horizon 500, and
+    never more than 3*``AGGREGATE_BLOCK_CELLS`` of them, 3.4 MiB), plus
     a per-step transient of about trials*(capacity+1) float64 when the
     singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
@@ -438,13 +466,18 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     draw (``_lone_groups_wide``). The cached tables add at most 16 MiB of
     singles tables and 4 MiB of lone-group tables.
 
-    A step with at most ``SCALAR_STEP_MAX`` live trials runs on Python
-    integers (``_scalar_step``): it reads the counts with one ``tolist``,
-    makes the array step's draws in the same order one trial at a time,
-    writes the counts back once and checks extinction in Python. Its
-    counts and the generator's state after it equal the array step's, so
-    every output is bit-identical to a run of array steps alone, whatever
-    the constant.
+    The run has two phases. Array steps run while more than
+    ``SCALAR_STEP_MAX`` trials are live. Live trials never rise, so from the
+    first step at or below the constant to the end of the run, one scalar
+    phase runs: it reads the live counts into S, I and R lists once, and
+    each step (``_scalar_step``) makes the array step's draws in the same
+    order, one trial at a time, on those lists. The phase holds the steps'
+    live counts as pending rows and copies them into the buffer only when
+    a block fills, a trial clears or the run ends; the cleared trials'
+    columns come from their frozen counts. Both phases retire cleared
+    trials through ``_clear``. The scalar step's counts and the
+    generator's state after it equal the array step's, so every output is
+    bit-identical to a run of array steps alone, whatever the constant.
     """
     cfg.validate()
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
@@ -454,7 +487,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
     block = min(steps, max(1, AGGREGATE_BLOCK_CELLS // cfg.trials))
-    # the counts of steps start..t, aggregated when the block is full or the loop ends
+    # the counts of the steps from start on, aggregated when the block is
+    # full or the run ends
     buffer = np.empty((3, block, cfg.trials), dtype=np.int64)
     start = 0
     control_time = np.full(cfg.trials, cfg.horizon, dtype=np.int64)
@@ -466,39 +500,50 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     latest = np.stack([cfg.n - infected, infected, np.zeros_like(infected)])
     trial = np.arange(cfg.trials)
     live = cfg.trials
-    for t in range(steps):
+    # the array phase, then, from the first step at or below the constant,
+    # the scalar phase; ``t`` is the next step to run
+    t = 0
+    while live and t < steps and (not t or live > SCALAR_STEP_MAX):
         if t - start == block:
             _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
             start = t
         counts = latest[:, :live]
-        if t and live <= SCALAR_STEP_MAX:
-            stepped = _scalar_step(cfg, curve.pre_test_infected[t], counts, log_miss, rng)
-            counts[:] = stepped
-            cleared_any = 0 in stepped[1]
-        else:
-            if t:
-                new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss))
-                counts[0] -= new
-                counts[1] += new
-                found = _detections(cfg, curve.pre_test_infected[t], counts, rng)
-                counts[1] -= found
-                counts[2] += found
-            cleared_any = not counts[1].all()
+        if t:
+            new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss))
+            counts[0] -= new
+            counts[1] += new
+            found = _detections(cfg, curve.pre_test_infected[t], counts, rng)
+            counts[1] -= found
+            counts[2] += found
         buffer[:, t - start] = latest
+        if not counts[1].all():
+            live = _clear(t, latest, trial, live, control_time, censored)
+        t += 1
+    counts = latest[:, :live].tolist()
+    # the live S, I and R of steps first..t, one step after another, until
+    # the buffer takes them
+    rows, first = [], t
+    while live and t < steps:
+        if t - start == block:
+            _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
+            start = t
+        counts = _scalar_step(cfg, curve.pre_test_infected[t], counts, log_miss, rng)
+        susceptible, infected, isolated = counts
+        rows += susceptible + infected + isolated
+        cleared_any = 0 in infected
+        if cleared_any or t + 1 - start == block or t + 1 == steps:
+            held = np.array(rows, dtype=np.int64).reshape(-1, 3, live)
+            buffer[:, first - start:t + 1 - start, :live] = held.transpose(1, 0, 2)
+            buffer[:, first - start:t + 1 - start, live:] = latest[:, np.newaxis, live:]
+            rows, first = [], t + 1
         if cleared_any:
-            extinct = counts[1] == 0
-            cleared = trial[:live][extinct]
-            control_time[cleared] = t
-            censored[cleared] = False
-            order = np.argsort(extinct, kind="stable")
-            latest[:, :live] = counts[:, order]
-            trial[:live] = trial[:live][order]
-            live -= cleared.size
-            if not live:
-                break
-    _aggregate(buffer[:, :t + 1 - start], total[:, start:t + 1], square_dev[:, start:t + 1])
-    total[:, t + 1:] = total[:, t:t + 1]
-    square_dev[:, t + 1:] = square_dev[:, t:t + 1]
+            latest[:, :live] = counts
+            live = _clear(t, latest, trial, live, control_time, censored)
+            counts = latest[:, :live].tolist()
+        t += 1
+    _aggregate(buffer[:, :t - start], total[:, start:t], square_dev[:, start:t])
+    total[:, t:] = total[:, t - 1:t]
+    square_dev[:, t:] = square_dev[:, t - 1:t]
     means = total / cfg.trials
     # deviations from floor(mean) sum to total mod trials, so this
     # difference cancels nothing larger than trials; one trial's deviations

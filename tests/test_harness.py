@@ -251,7 +251,7 @@ class TestPooledRounds:
         cfg, counts = self.table_sized_round(copies=1)
         log_miss = math.log1p(-cfg.q)
         rng = CountingGenerator(3)
-        stepped = np.array(_scalar_step(cfg, 100.0, counts, log_miss, rng))
+        stepped = np.array(_scalar_step(cfg, 100.0, counts.tolist(), log_miss, rng))
         assert rng.calls == {"binomial": 6, "hypergeometric": 6, "random": 4}
         found = stepped[2] - counts[2]
         assert np.array_equal(stepped.sum(axis=0), counts.sum(axis=0))
@@ -262,7 +262,7 @@ class TestPooledRounds:
         # and reads the capacity's singles table
         counts = np.hstack([counts, [[100], [50], [850]]])
         rng = CountingGenerator(3)
-        _scalar_step(cfg, 100.0, counts, log_miss, rng)
+        _scalar_step(cfg, 100.0, counts.tolist(), log_miss, rng)
         assert rng.calls == {"binomial": 7, "hypergeometric": 6, "random": 5}
 
     def test_mixed_layout_round(self):
@@ -375,6 +375,21 @@ def cleared_at(stats):
     return None if stats.control_censored.any() else int(stats.control_time.max())
 
 
+def scalar_from(stats):
+    """The first step of the run's scalar phase, or None if the run ends before it.
+
+    It is the step after the one that leaves ``SCALAR_STEP_MAX`` live trials,
+    and step 1 when the run starts with no more.
+    """
+    cleared = np.sort(stats.control_time[~stats.control_censored])
+    over = stats.config.trials - harness.SCALAR_STEP_MAX
+    if over > cleared.size:
+        return None
+    first = int(cleared[over - 1]) + 1 if over > 0 else 1
+    last = stats.config.horizon if cleared_at(stats) is None else cleared_at(stats)
+    return first if first <= last else None
+
+
 class TestBlockAggregation:
     """Buffered steps aggregate to the same arrays whatever the block length."""
 
@@ -391,16 +406,24 @@ class TestBlockAggregation:
             and math.gcd(cleared_at(stats) + 1, 14) == 1),
         # one test per round cannot finish; 26 steps leave a last block of 5 for blocks of 7
         "all censored": (dict(capacity=1, p=0.5), lambda stats: stats.control_censored.all()),
+        # more trials than the constant: array steps, then the scalar phase
+        # from a step that starts no block of 2 or 7
+        "crosses phases mid-block": (
+            dict(horizon=30, trials=16),
+            lambda stats: scalar_from(stats) is not None and scalar_from(stats) > 1
+            and math.gcd(scalar_from(stats), 14) == 1),
     }
 
     def run_in_blocks(self, monkeypatch, cfg, cells):
-        """The run with ``AGGREGATE_BLOCK_CELLS`` = cells, and the steps each block aggregated."""
-        sizes = []
-        aggregate = harness._aggregate
+        """The run at ``AGGREGATE_BLOCK_CELLS`` = cells, each block's steps and the scalar steps."""
+        sizes, scalar = [], []
+        aggregate, step = harness._aggregate, harness._scalar_step
         monkeypatch.setattr(harness, "AGGREGATE_BLOCK_CELLS", cells)
         monkeypatch.setattr(harness, "_aggregate", lambda block, *out:
                             sizes.append(block.shape[1]) or aggregate(block, *out))
-        return run_experiment(cfg), sizes
+        monkeypatch.setattr(harness, "_scalar_step", lambda *args:
+                            scalar.append(1) or step(*args))
+        return run_experiment(cfg), sizes, len(scalar)
 
     def assert_same(self, default, blocked):
         for name, array in ndarray_fields(default).items():
@@ -417,9 +440,10 @@ class TestBlockAggregation:
         default = run_experiment(cfg)
         # the default block spans the whole horizon at these few trials
         assert harness.AGGREGATE_BLOCK_CELLS // cfg.trials > cfg.horizon
-        blocked, sizes = self.run_in_blocks(monkeypatch, cfg, block * cfg.trials)
+        blocked, sizes, scalar = self.run_in_blocks(monkeypatch, cfg, block * cfg.trials)
         ran = cfg.horizon + 1 if cleared_at(default) is None else cleared_at(default) + 1
         assert sum(sizes) == ran
+        assert scalar == ran - scalar_from(default)
         assert set(sizes[:-1]) <= {block} and 0 < sizes[-1] <= block
         self.assert_same(default, blocked)
 
@@ -427,7 +451,7 @@ class TestBlockAggregation:
     def test_more_trials_than_cells_aggregate_every_step(self, monkeypatch, policy):
         cfg = small_cfg(policy=policy, horizon=30)
         default = run_experiment(cfg)
-        blocked, sizes = self.run_in_blocks(monkeypatch, cfg, cfg.trials - 1)
+        blocked, sizes, _ = self.run_in_blocks(monkeypatch, cfg, cfg.trials - 1)
         assert set(sizes) == {1}
         self.assert_same(default, blocked)
 

@@ -1,11 +1,13 @@
 """The scalar step (``harness._scalar_step``) against the array step: the same draws, bit for bit.
 
-A step with at most ``SCALAR_STEP_MAX`` live trials makes the array step's
-draws one trial at a time, through numpy's scalar samplers. Setting the
-constant to 0 runs every step on arrays, and setting it to the trial count
-runs every step on Python integers; every ``TrajectoryStats`` array must be
-the same either way, and the same as at the default constant, where a run
-crosses from one step to the other as its trials clear.
+From the first step with at most ``SCALAR_STEP_MAX`` live trials, a run's
+scalar phase steps S, I and R lists of Python integers, making the array
+step's draws one trial at a time through numpy's scalar samplers. Setting
+the constant to 0 runs every step on arrays, and setting it to the trial
+count runs every step after step 0 in the scalar phase; every
+``TrajectoryStats`` array must be the same either way, and the same as at
+the default constant, where a run crosses from one phase to the other as
+its trials clear.
 """
 
 import numpy as np
@@ -79,7 +81,15 @@ def scalar_rounds(monkeypatch, cfg):
     """The all-scalar run, each step's (groups, eta) per layout, and each singles draw's tests."""
     rounds, tests = [], []
     step, lone, singles = harness._scalar_step, harness._lone_groups, harness._singles
-    monkeypatch.setattr(harness, "_scalar_step", lambda *args: rounds.append([]) or step(*args))
+
+    def counted_step(cfg, expected, counts, log_miss, rng):
+        # each step takes the previous one's lists, which must hold Python
+        # integers: a numpy scalar would slow every later step's arithmetic
+        assert all(type(c) is list and all(type(x) is int for x in c) for c in counts)
+        rounds.append([])
+        return step(cfg, expected, counts, log_miss, rng)
+
+    monkeypatch.setattr(harness, "_scalar_step", counted_step)
     monkeypatch.setattr(harness, "_lone_groups", lambda infected, groups, eta, rng:
                         rounds[-1].append((groups, eta)) or lone(infected, groups, eta, rng))
     monkeypatch.setattr(harness, "_singles", lambda n, good, count, rng:

@@ -10,15 +10,18 @@ hypergeometric draws, vectorized over trials.
 A testing round has one layout per trial: g groups of eta under binary
 codes, and the leftover tests as singletons drawn from all n. Individual
 testing, and a hybrid round that falls back, is the layout with g = 0 and
-the whole capacity left over. A pooled step draws each trial's infected
+the whole capacity left over. A run makes one plan of its steps: a step's
+entry is the hybrid planner's estimate where that is 1 or more, and None,
+a step of individual-testing rounds, everywhere else and under individual
+testing. A pooled step draws each trial's infected
 in its groups, then F, the groups holding exactly one infected
 (``_lone_groups``), and the positives among the leftover singletons
 (``_singles``), in the order ``_rounds`` states. Each sampler serves one
 shape. It inverts one uniform per trial through a cached CDF table of its
 law (inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 III.2) when the table fits its cap, and otherwise calls numpy's sampler:
-the multivariate hypergeometric one per trial for F
-(``_lone_groups_wide``), the hypergeometric one for the singles.
+the multivariate hypergeometric one per trial for F, the hypergeometric
+one for the singles.
 
 Late in a run, or in a run of few trials, those array calls' fixed cost
 outweighs their work. A cleared trial never comes back, so from the first
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,17 +61,18 @@ SINGLES_TABLE_MAX_CELLS = 2 ** 17
 
 # A pooled round of g >= 2 groups of eta draws its lone-group count from the
 # ``_lone_cdf`` table when its (g+1)*(g*eta+1) float64 cells fit in this many
-# (16 KiB); wider rounds run ``_lone_groups_wide``, one multivariate
-# hypergeometric draw per trial. The cap keeps g*eta <= 681, so every count of
-# the table, at most C(g*eta, K), fits a float64 unscaled.
+# (16 KiB); wider rounds make one multivariate hypergeometric draw per trial
+# (``_lone_groups``). The cap keeps g*eta <= 681, so every count of the
+# table, at most C(g*eta, K), fits a float64 unscaled.
 LONE_TABLE_MAX_CELLS = 2 ** 11
 
-# ``_lone_groups_wide`` draws with numpy's "marginals" method, one univariate
-# hypergeometric per group, from this eta up, and below it with "count", a
-# partial shuffle of all g*eta slots. On one CPU, "count" took ~20 us against
-# ~90 us at (K, g, eta) = (600, 500, 8); the two tied near eta = 40 at
-# g = 250 and near eta = 53 at g = 2,500. Replaying the wide rounds of real
-# runs at n = 10^5 and 10^6, every threshold from 37 to 57 came within ~8%.
+# A round too wide for a table draws with numpy's "marginals" method, one
+# univariate hypergeometric per group, from this eta up, and below it with
+# "count", a partial shuffle of all g*eta slots (``_lone_groups``). On one
+# CPU, "count" took ~20 us against ~90 us at (K, g, eta) = (600, 500, 8); the
+# two tied near eta = 40 at g = 250 and near eta = 53 at g = 2,500. Replaying
+# the wide rounds of real runs at n = 10^5 and 10^6, every threshold from 37
+# to 57 came within ~8%.
 MARGINALS_MIN_ETA = 41
 
 # From the first step with at most this many live trials, every step of the
@@ -164,9 +167,7 @@ def _lone_cdf(groups: int, eta: int) -> np.ndarray:
     4 MiB in the worst case. The table is read-only because the cache hands
     the same array to every caller.
     """
-    # C(eta, j) by the multiplicative recurrence, exact in Python integers
-    a = np.array(list(itertools.accumulate(range(eta), lambda c, j: c * (eta - j) // (j + 1),
-                                           initial=1)), dtype=np.float64)
+    a = np.array([math.comb(eta, j) for j in range(eta + 1)], dtype=np.float64)
     a[1] = 0.0
     counts = np.zeros((groups * eta + 1, groups + 1))
     power = np.ones(1)  # A(x)^(groups - f)
@@ -180,46 +181,35 @@ def _lone_cdf(groups: int, eta: int) -> np.ndarray:
     return cdf
 
 
-def _lone_groups_wide(infected: np.ndarray | list[int], groups: int, eta: int,
-                      rng: np.random.Generator) -> np.ndarray | list[int]:
-    """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
-
-    Trial j's K = infected[j] members sit uniformly at random among the
-    groups * eta slots, so the groups' member counts follow the multivariate
-    hypergeometric law of K draws from ``groups`` colours of ``eta`` each.
-    numpy draws one such vector per trial, holding one trial's counts at a
-    time, with the method that is faster at this eta
-    (``MARGINALS_MIN_ETA``). Below that eta the "count" method also
-    allocates about 8 * groups * eta bytes of C scratch per call, which
-    tracemalloc does not see. A list of counts gives a list of Python integers.
-    """
-    slots = np.full(groups, eta)
-    method = "marginals" if eta >= MARGINALS_MIN_ETA else "count"
-    scalar = isinstance(infected, list)
-    lone = [int(np.count_nonzero(rng.multivariate_hypergeometric(slots, k, method=method) == 1))
-            for k in (infected if scalar else infected.tolist())]
-    return lone if scalar else np.array(lone, dtype=np.int64)
-
-
 def _lone_groups(infected: np.ndarray | list[int], groups: int, eta: int,
                  rng: np.random.Generator) -> np.ndarray | list[int]:
     """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
 
-    The members sit uniformly at random among the groups * eta slots. One
-    group is lone when it holds one infected. A round of at most one group
-    draws nothing: its one group is lone when K = 1, and a round of no
-    groups, where the planner fell back, holds K = 0. A round whose
-    ``_lone_cdf`` table fits ``LONE_TABLE_MAX_CELLS`` inverts one uniform per
-    trial through the table's row; a wider round draws each trial's group
-    counts (``_lone_groups_wide``). The array step passes an int64 array
-    and gets one back; the scalar step (``_scalar_step``) passes a list of
-    Python integers and gets a list back.
+    Trial j's K = infected[j] members sit uniformly at random among the
+    groups * eta slots. A round of at most one group draws nothing: its one
+    group is lone when K = 1, and a round of no groups, where the planner
+    fell back, holds K = 0. A round whose ``_lone_cdf`` table fits
+    ``LONE_TABLE_MAX_CELLS`` inverts one uniform per trial through the
+    table's row. In a wider round the groups' member counts follow the
+    multivariate hypergeometric law of K draws from ``groups`` colours of
+    ``eta`` each; numpy draws one such vector per trial, holding one trial's
+    counts at a time, with the method that is faster at this eta
+    (``MARGINALS_MIN_ETA``). Below that eta the "count" method also
+    allocates about 8 * groups * eta bytes of C scratch per call, which
+    tracemalloc does not see. The array step passes an int64 array and gets
+    one back; the scalar step (``_scalar_step``) passes a list of Python
+    integers and gets a list back.
     """
+    scalar = isinstance(infected, list)
     if groups < 2:
-        return [int(k == 1) for k in infected] if isinstance(infected, list) else infected == 1
+        return [int(k == 1) for k in infected] if scalar else infected == 1
     if (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS:
         return _invert(_lone_cdf(groups, eta), infected, rng)
-    return _lone_groups_wide(infected, groups, eta, rng)
+    slots = np.full(groups, eta)
+    method = "marginals" if eta >= MARGINALS_MIN_ETA else "count"
+    lone = [int(np.count_nonzero(rng.multivariate_hypergeometric(slots, k, method=method) == 1))
+            for k in (infected if scalar else infected.tolist())]
+    return lone if scalar else np.array(lone, dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=16)
@@ -298,14 +288,6 @@ def _layout_keys(pools: np.ndarray, expected: float, n: int, capacity: int) -> n
     return eta * (n + 1) + np.minimum(pools // eta, capacity // 2)
 
 
-def _pooling(cfg: SimConfig, expected: float) -> bool:
-    """Whether a step's rounds may pool: under the hybrid at an estimate of 1 or more.
-
-    ``saffron_group_size`` falls back for every pool below that estimate.
-    """
-    return cfg.policy == POLICY_SAFFRON_HYBRID and expected >= 1.0
-
-
 def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray
             ) -> tuple[list[tuple[tuple[int, int, int], np.ndarray]], np.ndarray]:
     """A pooled step's rounds in draw order, and each trial's in-group slots.
@@ -339,19 +321,21 @@ def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray
     return rounds, slots
 
 
-def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
+def _detections(cfg: SimConfig, expected: float | None, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one testing round identifies, per trial, from post-spread counts.
 
-    ``expected`` is the planner's estimate of the infected count, which only
-    the hybrid policy reads. An individual-testing round, or a hybrid round
-    at an estimate below 1, spends the whole capacity on singletons drawn
-    from all n, isolated individuals included (one ``_singles`` call).
-    Otherwise it draws the step's ``_rounds`` on arrays: one in-group call
-    over every trial, then one call per sampler and round.
+    ``expected`` is the step's entry of the run's plan: the hybrid planner's
+    estimate of the infected count where it is 1 or more, else None. At
+    None (individual testing, or a hybrid step whose estimate is below 1,
+    where ``saffron_group_size`` falls back for every pool) the round spends
+    the whole capacity on singletons drawn from all n, isolated individuals
+    included (one ``_singles`` call). Otherwise it draws the step's
+    ``_rounds`` on arrays: one in-group call over every trial, then one call
+    per sampler and round.
     """
     susceptible, infected, isolated = counts
-    if not _pooling(cfg, expected):
+    if expected is None:
         return _singles(cfg.n, infected, cfg.capacity, rng)
     rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
     in_groups = rng.hypergeometric(infected, susceptible, slots)
@@ -362,13 +346,15 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     return found
 
 
-def _scalar_step(cfg: SimConfig, expected: float,
+def _scalar_step(cfg: SimConfig, expected: float | None,
                  counts: tuple[list[int], list[int], list[int]], log_miss: float,
                  rng: np.random.Generator) -> tuple[list[int], list[int], list[int]]:
     """One step of the live trials' S, I and R ``counts`` on Python integers: new S, I and R.
 
-    It makes the array step's draws (the spread in ``run_experiment``, then
-    ``_detections``) in the same order, one trial at a time: the spread,
+    The spread steps the S and I lists it is given in place, and the
+    returned S is that list. It makes the array step's draws (the spread
+    in ``run_experiment``, then ``_detections``, which reads ``expected``
+    the same way) in the same order, one trial at a time: the spread,
     Binomial(S, p) per trial, with p from numpy's ``-expm1(I * log(1 - q))``
     over the live I, as the array step computes it (``math.expm1`` differs
     from numpy's in the last bit at some arguments), then the round's draws
@@ -380,14 +366,14 @@ def _scalar_step(cfg: SimConfig, expected: float,
     step's; only the array calls' fixed cost is gone.
     """
     susceptible, infected, isolated = counts
-    # copies: the caller's pending rows keep the lists it passed
-    susceptible, infected = susceptible[:], infected[:]
     # a Python float product rounds as numpy's int64-by-float64 one does
     for j, grow in enumerate(np.expm1([i * log_miss for i in infected]).tolist()):
         new = rng.binomial(susceptible[j], -grow)
         susceptible[j] -= new
         infected[j] += new
-    if _pooling(cfg, expected):
+    if expected is None:
+        found = _singles(cfg.n, infected, cfg.capacity, rng)
+    else:
         rounds, slots = _rounds(cfg, expected, np.array([cfg.n - r for r in isolated]))
         in_groups = [rng.hypergeometric(i, s, k) if k else 0
                      for i, s, k in zip(infected, susceptible, slots.tolist())]
@@ -398,8 +384,6 @@ def _scalar_step(cfg: SimConfig, expected: float,
             others = _singles(cfg.n, [infected[j] - f for j, f in zip(on, lone)], leftover, rng)
             for j, f, s in zip(on, lone, others):
                 found[j] = f + s
-    else:
-        found = _singles(cfg.n, infected, cfg.capacity, rng)
     return (susceptible, [i - f for i, f in zip(infected, found)],
             [r + f for r, f in zip(isolated, found)])
 
@@ -442,7 +426,10 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     draws every trial's steps together, so a trial's path also depends on
     cfg.trials. Each step, for the trials still holding infections, spread
     is Binomial(S, 1-(1-q)^I) and the round's detections come from
-    ``_detections``; the initial infected count is Binomial(n, p). Counts
+    ``_detections``, at the step's entry of one plan made per run: the
+    planner's estimate, a Python float, where the hybrid may pool (an
+    estimate of 1 or more), and None at every other step and under
+    individual testing. The initial infected count is Binomial(n, p). Counts
     are recorded after the testing phase of each step (step 0 is the freshly
     drawn population). A trial with no circulating infections never changes
     again, so it stops drawing, and once every trial has, the remaining
@@ -463,7 +450,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
     for the table, one trial's g group counts at a time and, below
     ``MARGINALS_MIN_ETA``, about 8*g*eta bytes of numpy's C scratch per
-    draw (``_lone_groups_wide``). The cached tables add at most 16 MiB of
+    draw (``_lone_groups``). The cached tables add at most 16 MiB of
     singles tables and 4 MiB of lone-group tables.
 
     The run has two phases. Array steps run while more than
@@ -483,6 +470,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     log_miss = math.log1p(-cfg.q) if cfg.q < 1.0 else -math.inf
+    hybrid = cfg.policy == POLICY_SAFFRON_HYBRID
+    plan = [e if hybrid and e >= 1.0 else None for e in curve.pre_test_infected.tolist()]
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
@@ -512,7 +501,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss))
             counts[0] -= new
             counts[1] += new
-            found = _detections(cfg, curve.pre_test_infected[t], counts, rng)
+            found = _detections(cfg, plan[t], counts, rng)
             counts[1] -= found
             counts[2] += found
         buffer[:, t - start] = latest
@@ -527,13 +516,13 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
         if t - start == block:
             _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
             start = t
-        counts = _scalar_step(cfg, curve.pre_test_infected[t], counts, log_miss, rng)
+        counts = _scalar_step(cfg, plan[t], counts, log_miss, rng)
         susceptible, infected, isolated = counts
         rows += susceptible + infected + isolated
         cleared_any = 0 in infected
         if cleared_any or t + 1 - start == block or t + 1 == steps:
-            held = np.array(rows, dtype=np.int64).reshape(-1, 3, live)
-            buffer[:, first - start:t + 1 - start, :live] = held.transpose(1, 0, 2)
+            buffer[:, first - start:t + 1 - start, :live] = np.array(
+                rows, dtype=np.int64).reshape(-1, 3, live).transpose(1, 0, 2)
             buffer[:, first - start:t + 1 - start, live:] = latest[:, np.newaxis, live:]
             rows, first = [], t + 1
         if cleared_any:

@@ -38,8 +38,8 @@ CONFIGS = {
     "hybrid-fallback-first": dict(n=100, capacity=30, p=0.6, q=1e-3, horizon=40,
                                   policy="saffron-hybrid"),
     # rounds of 128 and 64 groups of 2-4 with more than one infected per
-    # group on average, too wide for a lone-group table, so each trial's
-    # group counts are drawn (``_lone_groups_wide``)
+    # group on average, too wide for a lone-group table, so ``_lone_groups``
+    # draws each trial's group counts
     "hybrid-wide-rounds": dict(n=400, capacity=256, p=0.4, q=2e-4, horizon=30,
                                policy="saffron-hybrid"),
 }

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
 from sirpool import harness
-from sirpool.harness import LONE_TABLE_MAX_CELLS, SINGLES_TABLE_MAX_CELLS, \
+from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_STEP_MAX, SINGLES_TABLE_MAX_CELLS, \
     _detections, _layout_keys, _lone_cdf, _rounds, _scalar_step, _singles_cdf
 from sirpool.theory import TheoryParams, expected_lambda_individual, saffron_layout
 
@@ -199,6 +199,40 @@ class TestCountEngineEdges:
         assert (groups + 1) * (groups * eta + 1) > LONE_TABLE_MAX_CELLS
         assert peak < 2 * 2 ** 20
 
+    def test_scalar_phase_memory_is_bounded_by_its_block(self, monkeypatch):
+        # 11 trials run every step after step 0 in the scalar phase. At q=0
+        # with one test a step none of them clears (each holds ~20,000
+        # infected), so every step adds 3 * 11 pending integers until a block
+        # of 50 steps fills. The docstring bounds the pending rows at block *
+        # 3 * SCALAR_STEP_MAX integers of about 36 bytes: a 28-byte int object
+        # below 2^30 and an 8-byte list slot, 37 bytes with the list's
+        # over-allocation of at most 1/8 of its slots. Rows kept for the whole
+        # horizon would take nearly 8 times that.
+        cfg = SimConfig(n=100_000, capacity=1, q=0.0, horizon=400, trials=SCALAR_STEP_MAX)
+        block = 50
+        monkeypatch.setattr(harness, "AGGREGATE_BLOCK_CELLS", block * cfg.trials)
+        bound = block * 3 * SCALAR_STEP_MAX * 37
+        assert cfg.horizon * 3 * cfg.trials * 36 > 7 * bound
+        # traced memory at the phase's first step, and the most held above it
+        held = {"first": None, "most": 0, "steps": 0}
+        step = harness._scalar_step
+
+        def traced_step(*args):
+            current = tracemalloc.get_traced_memory()[0]
+            if held["first"] is None:
+                held["first"] = current
+            held["most"] = max(held["most"], current - held["first"])
+            held["steps"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(harness, "_scalar_step", traced_step)
+        tracemalloc.start()
+        try:
+            stats = run_experiment(cfg)
+        finally:
+            tracemalloc.stop()
+        assert stats.control_censored.all() and held["steps"] == cfg.horizon
+        assert held["most"] <= bound, f"{held['most']} bytes held between scalar steps > {bound}"
 
 class CountingGenerator:
     """A generator that counts its sampler calls by method name."""
@@ -310,6 +344,27 @@ class TestPooledRounds:
         # the capacity's table and the leftovers 2, 6, 10, 12 and 14
         assert singles.misses == singles.currsize == 6
         assert singles.currsize < singles.maxsize
+
+    @pytest.mark.parametrize("trials", [5, 40])
+    @pytest.mark.parametrize("policy, p, pools", [("individual", 0.2, False),
+                                                  ("saffron-hybrid", 0.01, False),
+                                                  ("saffron-hybrid", 0.2, True)])
+    def test_only_a_hybrid_estimate_of_1_or_more_pools(self, monkeypatch, policy, p, pools,
+                                                       trials):
+        # the run's plan holds None for individual testing and for a hybrid
+        # estimate below 1, and a step at None lays out no round, in the
+        # array phase (40 trials) and in the scalar phase (both trial counts)
+        calls = dict.fromkeys(["_detections", "_scalar_step", "_rounds", "saffron_layout"], 0)
+        for name in calls:
+            def counted(*args, name=name, run=getattr(harness, name)):
+                calls[name] += 1
+                return run(*args)
+            monkeypatch.setattr(harness, name, counted)
+        stats = run_experiment(small_cfg(policy=policy, p=p, trials=trials, horizon=40))
+        assert (stats.theory.pre_test_infected[1:].max() >= 1.0) == (p > 0.1)
+        assert bool(calls["_detections"]) == (trials > SCALAR_STEP_MAX)
+        assert calls["_scalar_step"] > 0
+        assert bool(calls["_rounds"]) == bool(calls["saffron_layout"]) == pools
 
     def test_one_layout_per_key(self, monkeypatch):
         # at an estimate of 100, pools 1000..1009 share eta = 10 and

@@ -10,9 +10,9 @@ computed here with Python integers. The formula is first checked against
 enumeration of every K-subset for small shapes. Every ``_lone_cdf`` table
 that fits ``LONE_TABLE_MAX_CELLS`` with g = 2..8 is then checked against it
 entry by entry. The draws of the engine's sampler (``_lone_groups``) are
-checked by a chi-square test at a fixed seed; it sends the wide cases to
-the per-trial multivariate hypergeometric sampler (``_lone_groups_wide``),
-with numpy's "count" method at (12, 8, 40) and "marginals" at (12, 8, 41).
+checked by a chi-square test at a fixed seed; its wide cases make one
+multivariate hypergeometric draw per trial, with numpy's "count" method at
+(12, 8, 40) and "marginals" at (12, 8, 41).
 """
 
 import itertools
@@ -21,9 +21,8 @@ import math
 import numpy as np
 import pytest
 
-from sirpool import harness
-from sirpool.harness import LONE_TABLE_MAX_CELLS, MARGINALS_MIN_ETA, _lone_cdf, _lone_groups, \
-    _lone_groups_wide
+from sirpool.harness import LONE_TABLE_MAX_CELLS, MARGINALS_MIN_ETA, _lone_cdf, _lone_groups
+from tests.test_harness import CountingGenerator
 
 SEED = 20261018
 DRAWS = 100_000
@@ -31,8 +30,8 @@ CHUNK = 10_000  # draws per case in one call, which keeps a call's arrays small
 Z_CRIT = 3.719  # standard normal upper quantile at p = 1e-4
 
 # (K, g, eta): no groups (a round that falls back), empty and full groups,
-# more than half full, one group, pairs, wide rounds like those
-# ``_lone_groups_wide`` serves, and eta on each side of ``MARGINALS_MIN_ETA``;
+# more than half full, one group, pairs, wide rounds that draw per trial,
+# and eta on each side of ``MARGINALS_MIN_ETA``;
 # in the engine's sampler, the g >= 2 shapes up to (20, 13, 2) read a table
 # and the four after it are too wide for one
 CASES = [
@@ -178,26 +177,20 @@ def test_tables_match_the_law(g):
         assert np.all(np.diff(cdf, axis=1) >= 0.0), (g, eta)
 
 
-def test_table_cap_boundary(monkeypatch):
+def test_table_cap_boundary():
     # no shape of g >= 2 has exactly 2^11 cells: (2, 340) has 2,043, the most
     # that fit, and (2, 341) has 2,049, one cell over
     assert 3 * (2 * 340 + 1) <= LONE_TABLE_MAX_CELLS == 3 * (2 * 341 + 1) - 1
-    wide_calls = []
-
-    def counted(*args):
-        wide_calls.append(args[0].size)
-        return _lone_groups_wide(*args)
-
-    monkeypatch.setattr(harness, "_lone_groups_wide", counted)
-    rng = np.random.default_rng(SEED)
     infected = np.array([0, 1, 2, 340, 680], dtype=np.int64)
     for eta, tabled in ((340, True), (341, False)):
         _lone_cdf.cache_clear()
-        wide_calls.clear()
+        rng = CountingGenerator(SEED)
         found = _lone_groups(infected, 2, eta, rng)
         assert found[[0, 1, 4]].tolist() == [0, 1, 0]
         assert _lone_cdf.cache_info().currsize == int(tabled), eta
-        assert wide_calls == ([] if tabled else [infected.size]), eta
+        # a table draws no group counts; a wider round draws them once per trial
+        wide = rng.calls.get("multivariate_hypergeometric", 0)
+        assert wide == (0 if tabled else infected.size), eta
 
 
 def test_sampler_follows_the_law():

@@ -4,8 +4,9 @@
 from all n: Hypergeom(good, n - good, capacity). A config whose CDF
 table fits in ``SINGLES_TABLE_MAX_CELLS`` inverts one uniform per trial
 through the table; a larger one calls numpy's sampler. Both paths are
-checked against exact pmfs from ``math.comb`` by a chi-square test at a
-fixed seed, and every table row's edges are checked exactly.
+checked against exact pmfs from ``math.comb`` by the chi-square test of
+``tests/test_lone_groups.py`` at a fixed seed, and every table row's edges
+are checked exactly.
 """
 
 import math

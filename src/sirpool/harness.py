@@ -10,11 +10,10 @@ hypergeometric draws, vectorized over trials.
 A testing round has one layout per trial: g groups of eta under binary
 codes, and the leftover tests as singletons drawn from all n. Individual
 testing, and a hybrid round that falls back, is the layout with g = 0 and
-the whole capacity left over. A run makes one plan of its steps: a step's
-entry is the hybrid planner's estimate where that is 1 or more, and None,
-a step of individual-testing rounds, everywhere else and under individual
-testing. A pooled step draws each trial's infected
-in its groups, then F, the groups holding exactly one infected
+the whole capacity left over. A run reads each step's round from
+``theory.round_plan``: the estimate a step pools from, or None, a step of
+individual-testing rounds. A pooled step draws each trial's infected in
+its groups, then F, the groups holding exactly one infected
 (``_lone_groups``), and the positives among the leftover singletons
 (``_singles``), in the order ``_rounds`` states. Each sampler serves one
 shape. It inverts one uniform per trial through a cached CDF table of its
@@ -46,13 +45,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sir import POLICY_SAFFRON_HYBRID, SimConfig, init_population, spread_phase
+from .sir import SimConfig, init_population, spread_phase
 from .policies import run_round
-from .theory import TheoryCurve, TheoryParams, mean_trajectory, saffron_layout
+from .theory import TheoryCurve, TheoryParams, mean_trajectory, round_plan, saffron_layout
 
 # Singleton tests draw from the ``_singles_cdf`` table when its
 # (n+1)*(tests+1) float64 cells fit in this many (1 MiB); larger runs keep
@@ -122,16 +122,17 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
 
 
-def run_trial(cfg: SimConfig, rng: np.random.Generator, curve: TheoryCurve) -> np.ndarray:
+def run_trial(cfg: SimConfig, rng: np.random.Generator, plan: list[float | None]) -> np.ndarray:
     """One per-individual trajectory; returns a (3, horizon+1) array of per-step counts.
 
     This is the reference engine the count-level ``run_experiment`` is
-    tested against; the experiment runner does not call it. Counts are
-    recorded after the testing phase of each step (step 0 is the freshly
-    drawn population). Once no circulating infections remain nothing can
-    change, so the remaining steps are filled with the frozen counts.
+    tested against; the experiment runner does not call it. ``plan`` is the
+    run's ``theory.round_plan``, and step t's round is planned from
+    ``plan[t]``. Counts are recorded after the testing phase of each step
+    (step 0 is the freshly drawn population). Once no circulating
+    infections remain nothing can change, so the remaining steps are
+    filled with the frozen counts.
     """
-    hybrid = cfg.policy == POLICY_SAFFRON_HYBRID
     state = init_population(cfg, rng)
     counts = np.empty((3, cfg.horizon + 1), dtype=np.int64)
     counts[:, 0] = (state.susceptible, state.infected, state.isolated)
@@ -140,8 +141,7 @@ def run_trial(cfg: SimConfig, rng: np.random.Generator, curve: TheoryCurve) -> n
             counts[:, t:] = counts[:, t - 1:t]
             break
         spread_phase(state, cfg.q, rng)
-        expected = curve.pre_test_infected[t] if hybrid else None
-        run_round(state, cfg.policy, cfg.capacity, rng, expected)
+        run_round(state, cfg.policy, cfg.capacity, rng, plan[t])
         counts[:, t] = (state.susceptible, state.infected, state.isolated)
     return counts
 
@@ -325,14 +325,11 @@ def _detections(cfg: SimConfig, expected: float | None, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one testing round identifies, per trial, from post-spread counts.
 
-    ``expected`` is the step's entry of the run's plan: the hybrid planner's
-    estimate of the infected count where it is 1 or more, else None. At
-    None (individual testing, or a hybrid step whose estimate is below 1,
-    where ``saffron_group_size`` falls back for every pool) the round spends
-    the whole capacity on singletons drawn from all n, isolated individuals
-    included (one ``_singles`` call). Otherwise it draws the step's
-    ``_rounds`` on arrays: one in-group call over every trial, then one call
-    per sampler and round.
+    ``expected`` is the step's entry of the run's ``round_plan``. At None
+    the round spends the whole capacity on singletons drawn from all n,
+    isolated individuals included (one ``_singles`` call). Otherwise it
+    draws the step's ``_rounds`` on arrays: one in-group call over every
+    trial, then one call per sampler and round.
     """
     susceptible, infected, isolated = counts
     if expected is None:
@@ -426,14 +423,12 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     draws every trial's steps together, so a trial's path also depends on
     cfg.trials. Each step, for the trials still holding infections, spread
     is Binomial(S, 1-(1-q)^I) and the round's detections come from
-    ``_detections``, at the step's entry of one plan made per run: the
-    planner's estimate, a Python float, where the hybrid may pool (an
-    estimate of 1 or more), and None at every other step and under
-    individual testing. The initial infected count is Binomial(n, p). Counts
-    are recorded after the testing phase of each step (step 0 is the freshly
-    drawn population). A trial with no circulating infections never changes
-    again, so it stops drawing, and once every trial has, the remaining
-    steps are filled. Each step's counts of all trials wait in a (3, block,
+    ``_detections``, at the step's entry of the run's ``round_plan``. The
+    initial infected count is Binomial(n, p). Counts are recorded after the
+    testing phase of each step (step 0 is the freshly drawn population). A
+    trial with no circulating infections never changes again, so it stops
+    drawing, and once every trial has, the remaining steps are filled. Each
+    step's counts of all trials wait in a (3, block,
     trials) buffer, and a full block, or the steps held when the run ends,
     is aggregated at once (``_aggregate``); block is min(horizon + 1, max(1,
     ``AGGREGATE_BLOCK_CELLS`` // trials)). Variances are summed about each
@@ -443,8 +438,9 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     O(trials + horizon), plus the buffer and its float64 deviations,
     together at most 1.5 MiB or, past 2^15 trials, 48 bytes per trial, plus
     the scalar phase's pending rows, at most block*3*``SCALAR_STEP_MAX``
-    Python integers of about 36 bytes each (0.6 MiB at horizon 500, and
-    never more than 3*``AGGREGATE_BLOCK_CELLS`` of them, 3.4 MiB), plus
+    integers of 8 bytes each in one ``array('q')``, which over-allocates at
+    most 1/16 of them plus 7 (0.13 MiB at horizon 500, and never more than
+    3*``AGGREGATE_BLOCK_CELLS`` of them, 0.8 MiB), plus
     a per-step transient of about trials*(capacity+1) float64 when the
     singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
@@ -470,8 +466,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     log_miss = math.log1p(-cfg.q) if cfg.q < 1.0 else -math.inf
-    hybrid = cfg.policy == POLICY_SAFFRON_HYBRID
-    plan = [e if hybrid and e >= 1.0 else None for e in curve.pre_test_infected.tolist()]
+    plan = round_plan(curve, cfg.policy)
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
@@ -511,20 +506,20 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     counts = latest[:, :live].tolist()
     # the live S, I and R of steps first..t, one step after another, until
     # the buffer takes them
-    rows, first = [], t
+    rows, first = array("q"), t
     while live and t < steps:
         if t - start == block:
             _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
             start = t
         counts = _scalar_step(cfg, plan[t], counts, log_miss, rng)
         susceptible, infected, isolated = counts
-        rows += susceptible + infected + isolated
+        rows.fromlist(susceptible + infected + isolated)
         cleared_any = 0 in infected
         if cleared_any or t + 1 - start == block or t + 1 == steps:
-            buffer[:, first - start:t + 1 - start, :live] = np.array(
+            buffer[:, first - start:t + 1 - start, :live] = np.frombuffer(
                 rows, dtype=np.int64).reshape(-1, 3, live).transpose(1, 0, 2)
             buffer[:, first - start:t + 1 - start, live:] = latest[:, np.newaxis, live:]
-            rows, first = [], t + 1
+            rows, first = array("q"), t + 1
         if cleared_any:
             latest[:, :live] = counts
             live = _clear(t, latest, trial, live, control_time, censored)

@@ -3,13 +3,14 @@
 Closed forms for the individual-testing policy, each read from one per-step
 decay factor (expected circulating infections per step, the time to drive
 them below a threshold, and the never-infected count); the pooled
-planner's round plan (``saffron_group_size`` and ``saffron_layout``) and the
-expected per-round detection count of the pooled policy; and a step-by-step
+planner's round shape (``saffron_group_size`` and ``saffron_layout``) and the
+expected per-round detection count of the pooled policy; a step-by-step
 recursion that produces the full expected trajectory either policy traces
-out. The expressions drop correction terms that vanish only for large
-populations with weak per-pair transmission; at moderate sizes they are
-approximations of the finite-population means, not exact values (see the
-README for the measured gaps at the reference parameters).
+out; and a run's plan of which steps may pool, read from it
+(``round_plan``). The expressions drop correction terms that vanish only
+for large populations with weak per-pair transmission; at moderate sizes
+they are approximations of the finite-population means, not exact values
+(see the README for the measured gaps at the reference parameters).
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ class TheoryCurve:
     """Expected per-step trajectory (index 0 = initial state, pre-testing).
 
     ``pre_test_infected[t]`` is the expected infected count after step t's
-    spread phase but before its tests: the planner's estimate for round t.
+    spread phase but before its tests: the planner's estimate for round t,
+    which ``round_plan`` reads.
     """
 
     expected_susceptible: np.ndarray
@@ -227,3 +229,16 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
     alpha, lam, gam, pre = (np.array(column, dtype=np.float64) for column in zip(*rows))
     return TheoryCurve(expected_susceptible=alpha, expected_infected=lam,
                        expected_isolated=gam, pre_test_infected=pre)
+
+
+def round_plan(curve: TheoryCurve, policy: str) -> list[float | None]:
+    """Each step's round of a run under ``policy``: the estimate it pools from, or None.
+
+    Entry t is ``curve.pre_test_infected[t]`` as a Python float where the
+    policy is the hybrid and that estimate is 1 or more, and None, a round
+    of individual tests, everywhere else. Both engines read it. A pooled
+    entry can still fall back, per pool, where ``saffron_group_size`` says
+    so; below 1 it would fall back for every pool, and None says so once.
+    """
+    hybrid = policy == POLICY_SAFFRON_HYBRID
+    return [e if hybrid and e >= 1.0 else None for e in curve.pre_test_infected.tolist()]

@@ -40,6 +40,7 @@ from sirpool.theory import (
     expected_alpha,
     expected_lambda_individual,
     mean_trajectory,
+    round_plan,
 )
 from tests.test_codec import decode_one_group
 from tests.test_sir import counts_consistent
@@ -181,15 +182,15 @@ def test_c5_invariant_suite():
             seed=int(rng.integers(2 ** 31)),
             policy=str(rng.choice(["individual", "saffron-hybrid"])),
         )
-        curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
+        plan = round_plan(mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon),
+                          cfg.policy)
         trial_rng = np.random.default_rng([cfg.seed, 0])
         state = init_population(cfg, trial_rng)
         prev_statuses = state.statuses.copy()
         prev_susceptible, prev_isolated = state.susceptible, state.isolated
         for t in range(1, cfg.horizon + 1):
             spread_phase(state, cfg.q, trial_rng)
-            expected = curve.pre_test_infected[t] if cfg.policy == "saffron-hybrid" else None
-            run_round(state, cfg.policy, cfg.capacity, trial_rng, expected)
+            run_round(state, cfg.policy, cfg.capacity, trial_rng, plan[t])
             assert state.susceptible + state.infected + state.isolated == n
             assert counts_consistent(state)
             assert state.isolated >= prev_isolated

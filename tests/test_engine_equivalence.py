@@ -18,7 +18,7 @@ import pytest
 
 from sirpool import SimConfig, run_experiment
 from sirpool.harness import LONE_TABLE_MAX_CELLS, run_trial, trial_rng
-from sirpool.theory import TheoryParams, mean_trajectory, saffron_layout
+from sirpool.theory import TheoryParams, mean_trajectory, round_plan, saffron_layout
 
 ENGINE_TRIALS = 20_000
 ORACLE_TRIALS = 1_500
@@ -58,14 +58,16 @@ def planner_rounds(cfg: SimConfig, counts: np.ndarray) -> tuple[int, int, set[tu
     pooled and fallback count the trial-rounds of each kind; shapes holds
     the (groups, eta) of every pooled round.
     """
-    curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
+    plan = round_plan(mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon),
+                      cfg.policy)
     pooled = fallback = 0
     shapes = set()
     for t in range(1, cfg.horizon + 1):
         active = counts[:, 1, t - 1] > 0
         pools, runs = np.unique(cfg.n - counts[active, 2, t - 1], return_counts=True)
         for pool, trials in zip(pools.tolist(), runs.tolist()):
-            layout = saffron_layout(pool, curve.pre_test_infected[t], cfg.capacity)
+            layout = (0, 0, cfg.capacity) if plan[t] is None else saffron_layout(
+                pool, plan[t], cfg.capacity)
             if layout == (0, 0, cfg.capacity):
                 fallback += trials
             else:
@@ -113,8 +115,9 @@ def run_pair(name: str):
     params = CONFIGS[name]
     engine = run_experiment(SimConfig(trials=ENGINE_TRIALS, seed=ENGINE_SEED, **params))
     cfg = SimConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, **params)
-    curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
-    oracle = np.stack([run_trial(cfg, trial_rng(cfg.seed, k), curve)
+    plan = round_plan(mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon),
+                      cfg.policy)
+    oracle = np.stack([run_trial(cfg, trial_rng(cfg.seed, k), plan)
                        for k in range(cfg.trials)])
     return engine, oracle
 

@@ -204,15 +204,19 @@ class TestCountEngineEdges:
         # with one test a step none of them clears (each holds ~20,000
         # infected), so every step adds 3 * 11 pending integers until a block
         # of 50 steps fills. The docstring bounds the pending rows at block *
-        # 3 * SCALAR_STEP_MAX integers of about 36 bytes: a 28-byte int object
-        # below 2^30 and an 8-byte list slot, 37 bytes with the list's
-        # over-allocation of at most 1/8 of its slots. Rows kept for the whole
-        # horizon would take nearly 8 times that.
+        # 3 * SCALAR_STEP_MAX integers of 8 bytes in one array('q'), which
+        # over-allocates at most 1/16 of them plus 7 slots. Beside them, the
+        # phase's S, I and R lists can grow by at most one step's three
+        # lists: new lists of a 56-byte header and up to 16 slots, each of
+        # 11 new int objects (28 bytes below 2^30, at most 32) where the
+        # first step's lists held cached small ones. Rows kept for the whole
+        # horizon would take more than 6 times the bound.
         cfg = SimConfig(n=100_000, capacity=1, q=0.0, horizon=400, trials=SCALAR_STEP_MAX)
         block = 50
         monkeypatch.setattr(harness, "AGGREGATE_BLOCK_CELLS", block * cfg.trials)
-        bound = block * 3 * SCALAR_STEP_MAX * 37
-        assert cfg.horizon * 3 * cfg.trials * 36 > 7 * bound
+        pending = block * 3 * SCALAR_STEP_MAX
+        bound = 8 * (pending + pending // 16 + 7) + 3 * (56 + 8 * 16 + 32 * SCALAR_STEP_MAX)
+        assert cfg.horizon * 3 * cfg.trials * 8 > 6 * bound
         # traced memory at the phase's first step, and the most held above it
         held = {"first": None, "most": 0, "steps": 0}
         step = harness._scalar_step

@@ -13,6 +13,7 @@ from sirpool.theory import (
     expected_alpha,
     expected_lambda_individual,
     mean_trajectory,
+    round_plan,
     saffron_expected_detections,
     saffron_group_size,
 )
@@ -308,3 +309,26 @@ class TestMeanTrajectory:
                 if policy == "saffron-hybrid" else 30 / 1000 * pre)
         assert curve.pre_test_infected[1] == pre
         assert curve.expected_infected[1] == pre - zeta
+
+
+class TestRoundPlan:
+    @pytest.mark.parametrize("horizon", [0, 1, 500])
+    def test_individual_testing_never_pools(self, horizon):
+        curve = mean_trajectory(BASE, "individual", horizon)
+        assert round_plan(curve, "individual") == [None] * (horizon + 1)
+
+    @pytest.mark.parametrize("horizon", [0, 1, 500])
+    def test_hybrid_pools_from_estimates_of_one_or_more(self, horizon):
+        curve = mean_trajectory(BASE, "saffron-hybrid", horizon)
+        plan = round_plan(curve, "saffron-hybrid")
+        assert len(plan) == horizon + 1
+        for estimate, entry in zip(curve.pre_test_infected.tolist(), plan):
+            if estimate >= 1.0:
+                assert type(entry) is float and entry == estimate
+            else:
+                assert entry is None
+
+    def test_reference_hybrid_pools_through_step_176(self):
+        plan = round_plan(mean_trajectory(BASE, "saffron-hybrid", 500), "saffron-hybrid")
+        assert all(entry is not None for entry in plan[:177])
+        assert all(entry is None for entry in plan[177:])

@@ -39,6 +39,8 @@ def _unwritable(path: str) -> str | None:
     """Why a file cannot be written at path, or None if it looks writable."""
     if os.path.isdir(path):
         return "it is a directory"
+    if os.path.exists(path) and not os.path.isfile(path):
+        return "it is not a regular file"
     directory = os.path.dirname(os.path.realpath(path))
     if not os.path.isdir(directory):
         return f"directory {directory} does not exist"

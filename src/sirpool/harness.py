@@ -128,10 +128,10 @@ def run_trial(cfg: SimConfig, rng: np.random.Generator, plan: list[float | None]
     This is the reference engine the count-level ``run_experiment`` is
     tested against; the experiment runner does not call it. ``plan`` is the
     run's ``theory.round_plan``, and step t's round is planned from
-    ``plan[t]``. Counts are recorded after the testing phase of each step
-    (step 0 is the freshly drawn population). Once no circulating
-    infections remain nothing can change, so the remaining steps are
-    filled with the frozen counts.
+    ``plan[t]`` alone, whatever ``cfg.policy`` says. Counts are recorded
+    after the testing phase of each step (step 0 is the freshly drawn
+    population). Once no circulating infections remain nothing can change,
+    so the remaining steps are filled with the frozen counts.
     """
     state = init_population(cfg, rng)
     counts = np.empty((3, cfg.horizon + 1), dtype=np.int64)
@@ -141,7 +141,7 @@ def run_trial(cfg: SimConfig, rng: np.random.Generator, plan: list[float | None]
             counts[:, t:] = counts[:, t - 1:t]
             break
         spread_phase(state, cfg.q, rng)
-        run_round(state, cfg.policy, cfg.capacity, rng, plan[t])
+        run_round(state, cfg.capacity, rng, plan[t])
         counts[:, t] = (state.susceptible, state.infected, state.isolated)
     return counts
 

@@ -5,6 +5,8 @@ capacity: random individual testing, and the hybrid pooled policy, which
 draws the round that ``theory.saffron_layout`` shapes: as many code blocks
 as fit, topped up with random singleton tests, and none, which is
 individual testing, in the regimes where pooling stops paying off.
+``run_round`` picks the planner from its step's ``theory.round_plan`` entry
+alone, so a new policy is a new plan, not a new branch here.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import RoundOutcome, TestMatrix, assemble_matrix, decode_round, evaluate_tests
-from .sir import POLICY_INDIVIDUAL, POLICY_SAFFRON_HYBRID, PopulationState, Status, isolate
+from .sir import PopulationState, Status, isolate
 from .theory import saffron_layout
 
 
@@ -61,24 +63,22 @@ def plan_saffron_hybrid(ctx: PolicyContext, non_isolated,
     return assemble_matrix(ctx.n, groups, singles)
 
 
-def run_round(state: PopulationState, policy: str, capacity: int,
-              rng: np.random.Generator,
+def run_round(state: PopulationState, capacity: int, rng: np.random.Generator,
               expected_infected: float | None = None) -> tuple[PopulationState, RoundOutcome]:
     """One testing phase: plan, test, decode, isolate.
 
-    The state must already be past this step's spread phase. Identification
-    uses only this round's results; identified individuals are isolated
-    before the function returns.
+    ``expected_infected`` is the step's ``theory.round_plan`` entry, and it
+    alone picks the planner: None plans individual testing, and an estimate
+    plans the hybrid round pooled from it. The state must already be past
+    this step's spread phase. Identification uses only this round's
+    results; identified individuals are isolated before the function
+    returns.
     """
-    ctx = PolicyContext(n=state.n, capacity=capacity,
-                        expected_infected=0.0 if expected_infected is None else expected_infected)
-    if policy == POLICY_INDIVIDUAL:
-        matrix = plan_individual(ctx, rng)
-    elif policy == POLICY_SAFFRON_HYBRID:
-        non_isolated = np.flatnonzero(state.statuses != Status.ISOLATED)
-        matrix = plan_saffron_hybrid(ctx, non_isolated, rng)
+    if expected_infected is None:
+        matrix = plan_individual(PolicyContext(state.n, capacity), rng)
     else:
-        raise ValueError(f"unknown policy {policy!r}")
+        matrix = plan_saffron_hybrid(PolicyContext(state.n, capacity, expected_infected),
+                                     np.flatnonzero(state.statuses != Status.ISOLATED), rng)
     results = evaluate_tests(matrix, state)
     outcome = decode_round(matrix, results)
     isolate(state, outcome.identified)

@@ -190,7 +190,7 @@ def test_c5_invariant_suite():
         prev_susceptible, prev_isolated = state.susceptible, state.isolated
         for t in range(1, cfg.horizon + 1):
             spread_phase(state, cfg.q, trial_rng)
-            run_round(state, cfg.policy, cfg.capacity, trial_rng, plan[t])
+            run_round(state, cfg.capacity, trial_rng, plan[t])
             assert state.susceptible + state.infected + state.isolated == n
             assert counts_consistent(state)
             assert state.isolated >= prev_isolated

@@ -1,4 +1,5 @@
 import os
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -61,12 +62,20 @@ class TestMain:
         assert exc.value.code != 0
         assert "cannot write --csv" in capsys.readouterr().err
 
-    def test_directory_target_fails_before_running(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("make, kind, problem", [
+        (os.mkdir, stat.S_ISDIR, "it is a directory"),
+        (os.mkfifo, stat.S_ISFIFO, "it is not a regular file"),
+    ], ids=["directory", "fifo"])
+    def test_directory_target_fails_before_running(self, tmp_path, capsys, monkeypatch,
+                                                   make, kind, problem):
         monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        target = tmp_path / "target"
+        make(target)
         with pytest.raises(SystemExit) as exc:
-            main(FAST + ["--csv", str(tmp_path / "ok.csv"), "--svg", str(tmp_path)])
+            main(FAST + ["--csv", str(tmp_path / "ok.csv"), "--svg", str(target)])
         assert exc.value.code != 0
-        assert "cannot write --svg" in capsys.readouterr().err
+        assert f"cannot write --svg {target}: {problem}" in capsys.readouterr().err
+        assert kind(os.stat(target).st_mode)
         assert not (tmp_path / "ok.csv").exists()
 
     def test_same_file_for_both_outputs_fails_before_running(self, tmp_path, capsys,

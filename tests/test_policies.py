@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sirpool import SimConfig
 from sirpool.codec import Verdict, code_width
+from sirpool.harness import run_trial, trial_rng
 from sirpool.policies import PolicyContext, plan_individual, plan_saffron_hybrid, run_round
 from sirpool.sir import Status, init_population, spread_phase
-from sirpool.theory import saffron_layout
+from sirpool.theory import TheoryParams, mean_trajectory, round_plan, saffron_layout
 from tests.test_sir import make_state
 
 
@@ -122,14 +125,14 @@ class TestPlanSaffronHybrid:
 class TestRunRound:
     def test_no_infections_no_isolations(self):
         state = make_state(50, infected_idx=())
-        _, outcome = run_round(state, "individual", 10, np.random.default_rng(0))
+        _, outcome = run_round(state, 10, np.random.default_rng(0))
         assert outcome.identified.size == 0
         assert outcome.verdicts.size == 0
         assert state.isolated == 0
 
     def test_full_coverage_catches_everything(self):
         state = make_state(40, infected_idx=[1, 7, 33])
-        run_round(state, "individual", 40, np.random.default_rng(0))
+        run_round(state, 40, np.random.default_rng(0))
         assert state.infected == 0
         assert state.isolated == 3
 
@@ -140,7 +143,7 @@ class TestRunRound:
         rng = np.random.default_rng(6)
         for _ in range(50):
             state = make_state(12, infected_idx=[5])
-            _, outcome = run_round(state, "saffron-hybrid", 12, rng, expected_infected=3.0)
+            _, outcome = run_round(state, 12, rng, expected_infected=3.0)
             assert sorted(outcome.verdicts.tolist()) == [Verdict.ALL_NEGATIVE,
                                                          Verdict.ALL_NEGATIVE, Verdict.SINGLE]
             assert outcome.identified.tolist() == [5]
@@ -155,7 +158,7 @@ class TestRunRound:
             state = init_population(cfg, rng)
             spread_phase(state, 0.01, rng)
             infected_before = set(np.flatnonzero(state.statuses == Status.INFECTED).tolist())
-            _, outcome = run_round(state, cfg.policy, cfg.capacity, rng,
+            _, outcome = run_round(state, cfg.capacity, rng,
                                    expected_infected=float(rng.uniform(0, n)))
             assert set(outcome.identified.tolist()) <= infected_before
 
@@ -168,14 +171,28 @@ class TestRunRound:
         total = 0
         for _ in range(3000):
             state = make_state(1000, infected_idx=range(20))
-            _, outcome = run_round(state, "individual", 30, rng)
+            _, outcome = run_round(state, 30, rng)
             missed += 20 - outcome.identified.size
             total += 20
         freq = missed / total
         sigma = np.sqrt(0.03 * 0.97 / total)
         assert abs(freq - 0.97) <= 3 * sigma
 
-    def test_unknown_policy_rejected(self):
-        state = make_state(10, infected_idx=[0])
-        with pytest.raises(ValueError):
-            run_round(state, "nope", 5, np.random.default_rng(0))
+    def test_plan_alone_picks_the_round(self):
+        # the plan entry, not cfg.policy, picks each step's planner: either
+        # config run on the other's plan gives the other's trial, bit for bit
+        hybrid = SimConfig(n=100, capacity=30, p=0.1, q=5e-4, horizon=40,
+                           policy="saffron-hybrid", seed=977)
+        individual = dataclasses.replace(hybrid, policy="individual")
+        plan = round_plan(mean_trajectory(TheoryParams.from_config(hybrid), hybrid.policy,
+                                          hybrid.horizon), hybrid.policy)
+        assert any(e is not None for e in plan)
+        individual_plan = [None] * len(plan)
+        for k in range(5):
+            pooled = run_trial(hybrid, trial_rng(hybrid.seed, k), plan)
+            np.testing.assert_array_equal(
+                run_trial(individual, trial_rng(hybrid.seed, k), plan), pooled)
+            single = run_trial(individual, trial_rng(hybrid.seed, k), individual_plan)
+            np.testing.assert_array_equal(
+                run_trial(hybrid, trial_rng(hybrid.seed, k), individual_plan), single)
+            assert not np.array_equal(pooled, single)

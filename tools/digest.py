@@ -39,9 +39,8 @@ import numpy as np
 
 import sirpool
 from sirpool import SimConfig, run_experiment
-from sirpool import theory
 from sirpool.harness import run_trial, trial_rng
-from sirpool.theory import TheoryParams, mean_trajectory
+from sirpool.theory import TheoryParams, mean_trajectory, round_plan
 
 POLICIES = ("individual", "saffron-hybrid")
 
@@ -116,19 +115,6 @@ ORACLE = {
 }
 
 
-# A tree from before ``theory.round_plan`` stated the plan's rule in
-# ``harness`` and passed ``run_trial`` the curve; its digest reads the same
-# rule, so a comparison with it checks ``round_plan`` against that rule.
-PLANNED = hasattr(theory, "round_plan")
-
-
-def _plan(curve, policy: str) -> list[float | None]:
-    if PLANNED:
-        return theory.round_plan(curve, policy)
-    return [e if policy == "saffron-hybrid" and e >= 1.0 else None
-            for e in curve.pre_test_infected.tolist()]
-
-
 def sha256(array: np.ndarray) -> str:
     """SHA-256 over an array's dtype, shape and C-order bytes."""
     array = np.ascontiguousarray(array)
@@ -158,16 +144,16 @@ def digests() -> dict[str, str]:
                 name = f"theory {k} {policy} horizon={horizon}"
                 curve = mean_trajectory(params, policy, horizon)
                 out.update(_fields(name, curve))
-                plan = _plan(curve, policy)
+                plan = round_plan(curve, policy)
                 out[name + "/round_plan"] = sha256(
                     np.array([np.nan if e is None else e for e in plan], dtype=np.float64))
     for config, kwargs in ORACLE.items():
         cfg = SimConfig(trials=ORACLE_TRIALS, seed=ORACLE_SEED, **kwargs)
         curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
-        oracle_input = _plan(curve, cfg.policy) if PLANNED else curve
+        plan = round_plan(curve, cfg.policy)
         for k in range(ORACLE_RUNS):
             out[f"run_trial {config} trial={k}"] = sha256(
-                run_trial(cfg, trial_rng(cfg.seed, k), oracle_input))
+                run_trial(cfg, trial_rng(cfg.seed, k), plan))
     return out
 
 

@@ -68,16 +68,28 @@ def _write_text(path: str, text: str) -> None:
 
 
 def write_csv(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
-    """One row per step; theory_lambda cells stay empty unless requested."""
+    """One row per step; theory_lambda cells stay empty unless requested.
+
+    The rows are formatted in one pass: one ``%`` over the row template
+    repeated once per step, with every cell in one flat tuple, row by row.
+    """
     steps = stats.config.horizon + 1
-    columns = [values[:steps].tolist() for values in _series_values(stats, include_theory)]
-    row = "%d" + ",%.9g" * len(columns) + ("" if include_theory else ",")
-    lines = [CSV_HEADER, *(row % (t, *cells) for t, cells in enumerate(zip(*columns)))]
-    _write_text(path, "\n".join(lines) + "\n")
+    columns = [range(steps), *(values[:steps].tolist()
+                               for values in _series_values(stats, include_theory))]
+    row = "%d" + ",%.9g" * (len(columns) - 1) + ("" if include_theory else ",") + "\n"
+    cells = [None] * (steps * len(columns))
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    _write_text(path, CSV_HEADER + "\n" + (row * steps) % tuple(cells))
 
 
 def write_svg(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
-    """Minimal SVG 1.1 line plot: one polyline per series plus axes and a legend."""
+    """Minimal SVG 1.1 line plot: one polyline per series plus axes and a legend.
+
+    Every series shares the x coordinates, so they are formatted once per
+    file, into a points template that takes one series' y coordinates in
+    one ``%``.
+    """
     horizon = stats.config.horizon
     n = stats.config.n
     plot_w = SVG_WIDTH - 2 * SVG_MARGIN
@@ -111,13 +123,14 @@ def write_svg(path: str, stats: TrajectoryStats, include_theory: bool) -> None:
                      f'font-size="12">{t_tick:.0f}</text>')
         parts.append(f'<text x="{SVG_MARGIN - 8}" y="{sy(v_tick) + 4:.2f}" text-anchor="end" '
                      f'font-size="12">{v_tick:.0f}</text>')
+    steps = horizon + 1
+    # "%.2f,%%.2f" formats x and leaves "%.2f" for y
+    points = " ".join(["%.2f,%%.2f"] * steps) % tuple(sx(np.arange(steps)).tolist())
     series = zip(_SERIES, _series_values(stats, include_theory))
     for i, ((name, color), values) in enumerate(series):
-        points = " ".join("%.2f,%.2f" % xy for xy in
-                          zip(sx(np.arange(values.size)).tolist(), sy(values).tolist()))
         legend_y = SVG_MARGIN + 10 + 18 * i
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{points}"/>')
+                     f'points="{points % tuple(sy(values).tolist())}"/>')
         parts.append(f'<line x1="{SVG_WIDTH - 220}" y1="{legend_y}" x2="{SVG_WIDTH - 190}" '
                      f'y2="{legend_y}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{SVG_WIDTH - 182}" y="{legend_y + 4}" font-size="12">'

@@ -57,6 +57,7 @@ from .theory import TheoryCurve, TheoryParams, mean_trajectory, round_plan, saff
 # Singleton tests draw from the ``_singles_cdf`` table when its
 # (n+1)*(tests+1) float64 cells fit in this many (1 MiB); larger runs keep
 # numpy's hypergeometric sampler, whose fixed cost per call the table avoids.
+# The array steps' spread table (``_spread_table``), n+1 cells, has the same cap.
 SINGLES_TABLE_MAX_CELLS = 2 ** 17
 
 # A pooled round of g >= 2 groups of eta draws its lone-group count from the
@@ -274,6 +275,26 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
     return rng.hypergeometric(good, n - good, tests)
 
 
+def _spread_table(n: int, log_miss: float) -> np.ndarray | None:
+    """Per infected count i = 0..n, the spread probability -expm1(i * log(1 - q)).
+
+    ``log_miss`` is log(1 - q), -inf at q = 1. Entry i is the float64 the
+    array step would compute from i, and entry 0 is 0.0, which skips the
+    0 * -inf, NaN and warning at q = 1. None when the n + 1 entries pass
+    ``SINGLES_TABLE_MAX_CELLS`` (1 MiB); the array step then computes the
+    probability of its live counts itself.
+    """
+    if n + 1 > SINGLES_TABLE_MAX_CELLS:
+        return None
+    spread = np.arange(n + 1, dtype=np.float64)
+    # in place, so building holds no array but the table
+    rest = spread[1:]
+    np.multiply(rest, log_miss, out=rest)
+    np.expm1(rest, out=rest)
+    np.negative(rest, out=rest)
+    return spread
+
+
 def _layout_keys(pools: np.ndarray, expected: float, n: int, capacity: int) -> np.ndarray:
     """Per pool of at most ``n``, a key that fixes its ``saffron_layout`` at an estimate >= 1.
 
@@ -353,8 +374,9 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     in ``run_experiment``, then ``_detections``, which reads ``expected``
     the same way) in the same order, one trial at a time: the spread,
     Binomial(S, p) per trial, with p from numpy's ``-expm1(I * log(1 - q))``
-    over the live I, as the array step computes it (``math.expm1`` differs
-    from numpy's in the last bit at some arguments), then the round's draws
+    over the live I, the value the array step computes or reads from its
+    ``_spread_table`` (``math.expm1`` differs from numpy's in the last bit
+    at some arguments), then the round's draws
     in ``_rounds``' order, on lists. It skips an in-group draw without
     slots, as that zero-sample draw consumes nothing.
 
@@ -423,7 +445,12 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     draws every trial's steps together, so a trial's path also depends on
     cfg.trials. Each step, for the trials still holding infections, spread
     is Binomial(S, 1-(1-q)^I) and the round's detections come from
-    ``_detections``, at the step's entry of the run's ``round_plan``. The
+    ``_detections``, at the step's entry of the run's ``round_plan``. A run
+    of more than ``SCALAR_STEP_MAX`` trials, which takes array steps, builds
+    the probability's table for every I in 0..n once (``_spread_table``)
+    when its n+1 float64 fit ``SINGLES_TABLE_MAX_CELLS`` (1 MiB), and each
+    array step gathers from it; a larger population computes
+    -expm1(I*log(1-q)) per step, as the scalar step always does. The
     initial infected count is Binomial(n, p). Counts are recorded after the
     testing phase of each step (step 0 is the freshly drawn population). A
     trial with no circulating infections never changes again, so it stops
@@ -440,7 +467,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     the scalar phase's pending rows, at most block*3*``SCALAR_STEP_MAX``
     integers of 8 bytes each in one ``array('q')``, which over-allocates at
     most 1/16 of them plus 7 (0.13 MiB at horizon 500, and never more than
-    3*``AGGREGATE_BLOCK_CELLS`` of them, 0.8 MiB), plus
+    3*``AGGREGATE_BLOCK_CELLS`` of them, 0.8 MiB), plus the spread table
+    of a run that takes array steps, n+1 float64, at most 1 MiB, plus
     a per-step transient of about trials*(capacity+1) float64 when the
     singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
@@ -467,6 +495,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     rng = np.random.default_rng(cfg.seed)
     log_miss = math.log1p(-cfg.q) if cfg.q < 1.0 else -math.inf
     plan = round_plan(curve, cfg.policy)
+    # a run of few trials takes no array step
+    spread = _spread_table(cfg.n, log_miss) if cfg.trials > SCALAR_STEP_MAX else None
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
@@ -493,7 +523,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             start = t
         counts = latest[:, :live]
         if t:
-            new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss))
+            new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss) if spread is None
+                               else spread[counts[1]])
             counts[0] -= new
             counts[1] += new
             found = _detections(cfg, plan[t], counts, rng)

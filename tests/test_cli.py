@@ -1,3 +1,4 @@
+import functools
 import os
 import stat
 import xml.etree.ElementTree as ET
@@ -238,12 +239,16 @@ class TestSeriesNames:
         assert legend == (names if include_theory else names[:-1])
 
 
-class TestWritersMatchPerCellFormatting:
-    """The writers format whole series at once; each cell must read as formatted one by one."""
+@functools.lru_cache(maxsize=None)
+def full_run(policy: str) -> TrajectoryStats:
+    """A real 500-step run of ``policy``, shared by the writer tests."""
+    return run_experiment(SimConfig(horizon=500, trials=20, seed=1, policy=policy))
 
-    @pytest.mark.parametrize("include_theory", [False, True])
-    def test_csv(self, tmp_path, include_theory):
-        stats = fixed_stats()
+
+class TestWritersMatchPerCellFormatting:
+    """The writers format whole files at once; each cell must read as formatted one by one."""
+
+    def check_csv(self, tmp_path, stats, include_theory):
         path = tmp_path / "t.csv"
         write_csv(str(path), stats, include_theory)
 
@@ -251,16 +256,15 @@ class TestWritersMatchPerCellFormatting:
             return format(float(x), ".9g")
 
         lines = [CSV_HEADER]
-        for t in range(7):
+        for t in range(stats.config.horizon + 1):
             lines.append(",".join([
                 str(t), cell(stats.mean_susceptible[t]), cell(stats.mean_infected[t]),
                 cell(stats.mean_isolated[t]),
                 cell(stats.theory.expected_infected[t]) if include_theory else ""]))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
-    @pytest.mark.parametrize("include_theory", [False, True])
-    def test_svg_points(self, tmp_path, include_theory):
-        stats = fixed_stats()
+    def check_svg_points(self, tmp_path, stats, include_theory):
+        horizon, n = stats.config.horizon, stats.config.n
         path = tmp_path / "t.svg"
         cli.write_svg(str(path), stats, include_theory)
         plot_w = cli.SVG_WIDTH - 2 * cli.SVG_MARGIN
@@ -271,9 +275,27 @@ class TestWritersMatchPerCellFormatting:
         expected = []
         for values in series:
             expected.append(" ".join(
-                f"{cli.SVG_MARGIN + plot_w * (t / 6):.2f},"
-                f"{cli.SVG_MARGIN + plot_h * (1.0 - values[t] / 1000):.2f}"
-                for t in range(7)))
+                f"{cli.SVG_MARGIN + plot_w * (t / horizon):.2f},"
+                f"{cli.SVG_MARGIN + plot_h * (1.0 - values[t] / n):.2f}"
+                for t in range(horizon + 1)))
         root = ET.parse(path).getroot()
         lines = root.findall("{http://www.w3.org/2000/svg}polyline")
         assert [line.get("points") for line in lines] == expected
+
+    @pytest.mark.parametrize("include_theory", [False, True])
+    def test_csv(self, tmp_path, include_theory):
+        self.check_csv(tmp_path, fixed_stats(), include_theory)
+
+    @pytest.mark.parametrize("include_theory", [False, True])
+    def test_svg_points(self, tmp_path, include_theory):
+        self.check_svg_points(tmp_path, fixed_stats(), include_theory)
+
+    @pytest.mark.parametrize("include_theory", [False, True])
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_csv_of_a_full_run(self, tmp_path, policy, include_theory):
+        self.check_csv(tmp_path, full_run(policy), include_theory)
+
+    @pytest.mark.parametrize("include_theory", [False, True])
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_svg_points_of_a_full_run(self, tmp_path, policy, include_theory):
+        self.check_svg_points(tmp_path, full_run(policy), include_theory)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -184,9 +185,10 @@ class TestCountEngineEdges:
         # each trial draws its group counts on its own and holds at most 750 of
         # them at a time; one (trials, groups) int64 array would take 3 MB and
         # per-individual status arrays n * trials = 50 MB. Run on its own, it
-        # peaked at ~1.1 MiB. tracemalloc cannot see the C scratch of numpy's
-        # "count" method, about 8 * groups * eta bytes per draw, so this bound
-        # leaves it out
+        # peaked at ~1.85 MiB, 0.76 MiB of it the run's spread table of n + 1
+        # float64, and at ~1.2 MiB after the other harness tests. tracemalloc
+        # cannot see the C scratch of numpy's "count" method, about 8 * groups
+        # * eta bytes per draw, so this bound leaves it out
         cfg = SimConfig(n=100_000, capacity=3000, q=1e-7, horizon=10, trials=500,
                         policy="saffron-hybrid")
         tracemalloc.start()
@@ -421,6 +423,12 @@ def ndarray_fields(stats):
             if isinstance(getattr(stats, f.name), np.ndarray)}
 
 
+def assert_same_arrays(stats, other):
+    for name, array in ndarray_fields(stats).items():
+        assert array.dtype == getattr(other, name).dtype, name
+        assert np.array_equal(array, getattr(other, name)), name
+
+
 def first_seed(premise, **kwargs):
     """The first seed in 0..199 whose default run of small_cfg(**kwargs) meets ``premise``."""
     for seed in range(200):
@@ -484,11 +492,6 @@ class TestBlockAggregation:
                             scalar.append(1) or step(*args))
         return run_experiment(cfg), sizes, len(scalar)
 
-    def assert_same(self, default, blocked):
-        for name, array in ndarray_fields(default).items():
-            other = getattr(blocked, name)
-            assert array.dtype == other.dtype and np.array_equal(array, other), name
-
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
@@ -504,7 +507,7 @@ class TestBlockAggregation:
         assert sum(sizes) == ran
         assert scalar == ran - scalar_from(default)
         assert set(sizes[:-1]) <= {block} and 0 < sizes[-1] <= block
-        self.assert_same(default, blocked)
+        assert_same_arrays(default, blocked)
 
     @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
     def test_more_trials_than_cells_aggregate_every_step(self, monkeypatch, policy):
@@ -512,7 +515,72 @@ class TestBlockAggregation:
         default = run_experiment(cfg)
         blocked, sizes, _ = self.run_in_blocks(monkeypatch, cfg, cfg.trials - 1)
         assert set(sizes) == {1}
-        self.assert_same(default, blocked)
+        assert_same_arrays(default, blocked)
+
+
+def log_miss(q):
+    return math.log1p(-q) if q < 1.0 else -math.inf
+
+
+class TestSpreadTable:
+    """Array steps gather the spread probability from a per-run table of the values they computed."""
+
+    QS = [0.0, 1e-5, 1.0, np.float32(1e-3)]
+    QS_IDS = ["0", "1e-5", "1", "float32"]
+
+    def run_counting(self, monkeypatch, cfg, builder=harness._spread_table):
+        """The run with ``builder`` as ``_spread_table``, and what each of its calls returned."""
+        built = []
+        monkeypatch.setattr(harness, "_spread_table",
+                            lambda *args: built.append(builder(*args)) or built[-1])
+        return run_experiment(cfg), built
+
+    @pytest.mark.parametrize("q", QS, ids=QS_IDS)
+    def test_entries_are_the_per_step_expression(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = harness._spread_table(1000, log_miss(q))
+        counts = np.arange(1, 1001)
+        assert table.dtype == np.float64 and table.shape == (1001,)
+        assert table[0] == 0.0
+        assert np.array_equal(table[1:], -np.expm1(counts * log_miss(q)))
+
+    @pytest.mark.parametrize("q", QS, ids=QS_IDS)
+    @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
+    def test_table_path_matches_the_per_step_path(self, monkeypatch, policy, q):
+        cfg = SimConfig(n=1000, capacity=30, q=q, horizon=150, trials=40, seed=3, policy=policy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tabled, built = self.run_counting(monkeypatch, cfg)
+            per_step, forced = self.run_counting(monkeypatch, cfg, lambda *args: None)
+        assert len(built) == 1 and built[0].shape == (cfg.n + 1,)
+        assert forced == [None]
+        # more than SCALAR_STEP_MAX trials are live after step 1, so step 2 is an array step too
+        assert np.count_nonzero(tabled.control_time > 1) > SCALAR_STEP_MAX
+        assert_same_arrays(tabled, per_step)
+
+    def test_population_past_the_cap_computes_per_step(self, monkeypatch):
+        # n + 1 float64 pass SINGLES_TABLE_MAX_CELLS, so every array step
+        # computes its probabilities; a table built past the cap must agree
+        cfg = SimConfig(n=SINGLES_TABLE_MAX_CELLS, capacity=30, q=1e-7, horizon=6,
+                        trials=SCALAR_STEP_MAX + 1, seed=2)
+        per_step, built = self.run_counting(monkeypatch, cfg)
+        assert built == [None]
+        assert per_step.control_censored.all()
+
+        def uncapped(n, miss):
+            table = -np.expm1(np.arange(n + 1) * miss)
+            table[0] = 0.0
+            return table
+
+        tabled, _ = self.run_counting(monkeypatch, cfg, uncapped)
+        assert_same_arrays(per_step, tabled)
+
+    @pytest.mark.parametrize("trials, tables", [(1, 0), (SCALAR_STEP_MAX, 0),
+                                                (SCALAR_STEP_MAX + 1, 1)])
+    def test_only_a_run_of_array_steps_builds_a_table(self, monkeypatch, trials, tables):
+        _, built = self.run_counting(monkeypatch, small_cfg(trials=trials))
+        assert len(built) == tables
 
 
 class TestEmpiricalEpsilonTime:

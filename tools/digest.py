@@ -1,6 +1,6 @@
 """Bit-identity digest of sirpool's outputs over a fixed set of runs.
 
-Three sets of runs, each stated below:
+Four sets of runs, each stated below:
 
 - ``run_experiment`` on 76 configs (``EXPERIMENTS``): every
   ``TrajectoryStats`` array, its theory curve's included;
@@ -8,13 +8,16 @@ Three sets of runs, each stated below:
   (``THEORY``) under both policies at horizons 0, 1 and 500; a plan is
   digested as float64 with NaN at its None steps;
 - ``run_trial`` on the first 5 trials of each config of
-  ``tests/test_engine_equivalence.py`` (``ORACLE``).
+  ``tests/test_engine_equivalence.py`` (``ORACLE``);
+- ``cli.write_csv`` and ``cli.write_svg`` on the benchmark's four workloads
+  at seed 1 (``CLI_OUTPUTS``), with and without the theory overlay.
 
-Each array gets one SHA-256 over its dtype, shape and bytes. The digests go
-to a JSON file with the numpy version, whose samplers fix the streams.
-``--compare FILE`` digests this tree instead and names every array whose
-digest differs from FILE's or that only one side has; it exits 1 if there is
-any, and 2, comparing nothing, when FILE was made under another numpy::
+Each array gets one SHA-256 over its dtype, shape and bytes, and each
+written file one over its bytes. The digests go to a JSON file with the
+numpy version, whose samplers fix the streams. ``--compare FILE`` digests
+this tree instead and names every array or file whose digest differs from
+FILE's or that only one side has; it exits 1 if there is any, and 2,
+comparing nothing, when FILE was made under another numpy::
 
     PYTHONPATH=src python tools/digest.py --compare tools/digest.json
     PYTHONPATH=src python tools/digest.py            # rewrites tools/digest.json
@@ -33,12 +36,14 @@ import hashlib
 import json
 import pathlib
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 
 import sirpool
 from sirpool import SimConfig, run_experiment
+from sirpool.cli import write_csv, write_svg
 from sirpool.harness import run_trial, trial_rng
 from sirpool.theory import TheoryParams, mean_trajectory, round_plan
 
@@ -102,6 +107,8 @@ def _theory_params() -> list[TheoryParams]:
 
 
 EXPERIMENTS = _experiments()
+# the benchmark's four workloads at seed 1, among the 16 configs that open EXPERIMENTS
+CLI_OUTPUTS = [kwargs for kwargs in EXPERIMENTS[:16] if kwargs["seed"] == 1]
 THEORY = _theory_params()
 ORACLE_SEED, ORACLE_TRIALS, ORACLE_RUNS = 977, 1500, 5
 ORACLE = {
@@ -154,6 +161,16 @@ def digests() -> dict[str, str]:
         for k in range(ORACLE_RUNS):
             out[f"run_trial {config} trial={k}"] = sha256(
                 run_trial(cfg, trial_rng(cfg.seed, k), plan))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "out"
+        for kwargs in CLI_OUTPUTS:
+            stats = run_experiment(SimConfig(**kwargs))
+            name = " ".join(f"{key}={value}" for key, value in kwargs.items())
+            for writer in (write_csv, write_svg):
+                for theory in (False, True):
+                    writer(str(path), stats, theory)
+                    out[f"{writer.__name__} {name} theory={theory}"] = hashlib.sha256(
+                        path.read_bytes()).hexdigest()
     return out
 
 

@@ -179,9 +179,8 @@ def main(argv=None) -> int:
     if len({os.path.realpath(path) for _, path, _ in outputs}) < len(outputs):
         parser.error(" and ".join(f"{flag} {path}" for flag, path, _ in outputs)
                      + " are the same file")
-    cfg = SimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)})
     try:
-        cfg.validate()
+        cfg = SimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)})
     except ConfigError as exc:
         parser.error(str(exc))
 

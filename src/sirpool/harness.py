@@ -7,15 +7,14 @@ Markov chain of their own (lumpability; Kemeny & Snell, *Finite Markov
 Chains*, 1960). Each step draws that chain exactly from a few binomial and
 hypergeometric draws, vectorized over trials.
 
-A testing round has one layout per trial: g groups of eta under binary
-codes, and the leftover tests as singletons drawn from all n. Individual
-testing, and a hybrid round that falls back, is the layout with g = 0 and
-the whole capacity left over. A run reads each step's round from
-``theory.round_plan``: the estimate a step pools from, or None, a step of
-individual-testing rounds. A pooled step draws each trial's infected in
-its groups, then F, the groups holding exactly one infected
-(``_lone_groups``), and the positives among the leftover singletons
-(``_singles``), in the order ``_rounds`` states. Each sampler serves one
+A testing round has one ``theory.saffron_layout`` per trial: g groups of
+eta under binary codes, and the leftover tests as singletons drawn from
+all n. A run reads each step's round from ``theory.round_plan``: the
+estimate a step pools from, or None, a step of individual-testing rounds.
+A pooled step draws each trial's infected in its groups, then F, the
+groups holding exactly one infected (``_lone_groups``), and the positives
+among the leftover singletons (``_singles``), in the order ``_rounds``
+states. Each sampler serves one
 shape. It inverts one uniform per trial through a cached CDF table of its
 law (inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 III.2) when the table fits its cap, and otherwise calls numpy's sampler:
@@ -52,7 +51,8 @@ import numpy as np
 
 from .sir import SimConfig, init_population, spread_phase
 from .policies import run_round
-from .theory import TheoryCurve, TheoryParams, mean_trajectory, round_plan, saffron_layout
+from .theory import (TheoryCurve, TheoryParams, mean_trajectory, round_plan, saffron_layout,
+                     saffron_layout_keys)
 
 # Singleton tests draw from the ``_singles_cdf`` table when its
 # (n+1)*(tests+1) float64 cells fit in this many (1 MiB); larger runs keep
@@ -295,28 +295,14 @@ def _spread_table(n: int, log_miss: float) -> np.ndarray | None:
     return spread
 
 
-def _layout_keys(pools: np.ndarray, expected: float, n: int, capacity: int) -> np.ndarray:
-    """Per pool of at most ``n``, a key that fixes its ``saffron_layout`` at an estimate >= 1.
-
-    The layout reads the pool only through eta = pool // expected and
-    groups = min(capacity // (2 * code_width(eta)), pool // eta). The first
-    term is at most capacity // 2, so min(pool // eta, capacity // 2) fixes
-    groups, and the key is eta * (n + 1) + that, below (n + 1)^2. Pools
-    below 2 * expected cannot pool; through eta = 1 they fall back whatever
-    their key.
-    """
-    eta = np.maximum(pools // expected, 1).astype(np.int64)
-    return eta * (n + 1) + np.minimum(pools // eta, capacity // 2)
-
-
 def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray
             ) -> tuple[list[tuple[tuple[int, int, int], np.ndarray]], np.ndarray]:
     """A pooled step's rounds in draw order, and each trial's in-group slots.
 
-    Trials whose non-isolated ``pools`` share a ``_layout_keys`` key share a
-    round: its ``saffron_layout`` (eta, groups, leftover), read once, and
-    an array of its trials' indices in trial order. Rounds come in
-    ascending key order. A trial's slots are its round's groups * eta, 0
+    Trials whose non-isolated ``pools`` share a ``saffron_layout_keys`` key
+    share a round: its ``saffron_layout`` (eta, groups, leftover), read
+    once, and an array of its trials' indices in trial order. Rounds come
+    in ascending key order. A trial's slots are its round's groups * eta, 0
     where the round falls back. Both steps draw a pooled step in this order:
 
     - the in-group Hypergeom(I, S, slots) per trial, in trial order; a
@@ -327,7 +313,7 @@ def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray
 
     Keys that share a layout draw separately, each from the same law.
     """
-    keys = _layout_keys(pools, expected, cfg.n, cfg.capacity)
+    keys = saffron_layout_keys(pools, expected, cfg.capacity)
     # a stable sort groups the trials without ``np.unique``'s fixed cost,
     # which few trials never earn back, and without a Python loop over them,
     # which many trials do not afford
@@ -490,7 +476,6 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     generator's state after it equal the array step's, so every output is
     bit-identical to a run of array steps alone, whatever the constant.
     """
-    cfg.validate()
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     log_miss = math.log1p(-cfg.q) if cfg.q < 1.0 else -math.inf

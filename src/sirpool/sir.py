@@ -49,6 +49,9 @@ class SimConfig:
               per trial from (seed, trial)
     policy:   "individual" or "saffron-hybrid" test planning
     epsilon:  infected-count threshold used when reporting control times
+
+    Construction validates the fields (``validate``) and raises
+    ``ConfigError`` on one out of range, so no invalid config exists.
     """
 
     n: int = 1000
@@ -60,6 +63,9 @@ class SimConfig:
     seed: int = 0
     policy: str = POLICY_INDIVIDUAL
     epsilon: float = 1.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         for name in ("n", "capacity", "horizon", "trials", "seed"):
@@ -113,7 +119,6 @@ class PopulationState:
 
 def init_population(cfg: SimConfig, rng: np.random.Generator) -> PopulationState:
     """Draw the initial population: each individual infected with probability p."""
-    cfg.validate()
     infected = rng.random(cfg.n) < cfg.p
     statuses = np.where(infected, np.int8(Status.INFECTED), np.int8(Status.SUSCEPTIBLE))
     k = int(infected.sum())

@@ -3,7 +3,8 @@
 Closed forms for the individual-testing policy, each read from one per-step
 decay factor (expected circulating infections per step, the time to drive
 them below a threshold, and the never-infected count); the pooled
-planner's round shape (``saffron_group_size`` and ``saffron_layout``) and the
+planner's round shape (``saffron_group_size`` and ``saffron_layout``), the
+key that tells which pools share one (``saffron_layout_keys``), and the
 expected per-round detection count of the pooled policy; a step-by-step
 recursion that produces the full expected trajectory either policy traces
 out; and a run's plan of which steps may pool, read from it
@@ -178,6 +179,20 @@ def saffron_layout(pool: int, expected_infected: float,
     rows_per_group = 2 * code_width(eta)
     groups = min(capacity // rows_per_group, pool // eta)
     return eta, groups, capacity - groups * rows_per_group
+
+
+def saffron_layout_keys(pools: np.ndarray, expected: float, capacity: int) -> np.ndarray:
+    """Per pool, a key that fixes its ``saffron_layout`` at an estimate >= 1.
+
+    The layout reads the pool only through eta = pool // expected and
+    groups = min(capacity // (2 * code_width(eta)), pool // eta). The first
+    term is at most capacity // 2, so min(pool // eta, capacity // 2) fixes
+    groups, and the key is eta * (capacity // 2 + 1) + that: keys ascend
+    with eta, then with that term. Pools below 2 * expected cannot pool;
+    through eta = 1 they fall back whatever their key.
+    """
+    eta = np.maximum(pools // expected, 1).astype(np.int64)
+    return eta * (capacity // 2 + 1) + np.minimum(pools // eta, capacity // 2)
 
 
 @dataclass

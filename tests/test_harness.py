@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experiment
 from sirpool import harness
 from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_STEP_MAX, SINGLES_TABLE_MAX_CELLS, \
-    _detections, _layout_keys, _lone_cdf, _rounds, _scalar_step, _singles_cdf
-from sirpool.theory import TheoryParams, expected_lambda_individual, saffron_layout
+    _detections, _lone_cdf, _rounds, _scalar_step, _singles_cdf
+from sirpool.theory import TheoryParams, expected_lambda_individual, saffron_layout, \
+    saffron_layout_keys
 
 
 def small_cfg(**kwargs):
@@ -184,13 +185,15 @@ class TestCountEngineEdges:
         # every pooled round here has 500-750 groups, too many for a table, so
         # each trial draws its group counts on its own and holds at most 750 of
         # them at a time; one (trials, groups) int64 array would take 3 MB and
-        # per-individual status arrays n * trials = 50 MB. Run on its own, it
-        # peaked at ~1.85 MiB, 0.76 MiB of it the run's spread table of n + 1
-        # float64, and at ~1.2 MiB after the other harness tests. tracemalloc
-        # cannot see the C scratch of numpy's "count" method, about 8 * groups
-        # * eta bytes per draw, so this bound leaves it out
+        # per-individual status arrays n * trials = 50 MB. A first run outside
+        # the window takes numpy's one-time lazy imports, ~0.7 MiB, so the
+        # window sees only the engine: it peaked at ~1.23 MiB, 0.76 MiB of it
+        # the run's spread table of n + 1 float64. tracemalloc cannot see the
+        # C scratch of numpy's "count" method, about 8 * groups * eta bytes
+        # per draw, so this bound leaves it out
         cfg = SimConfig(n=100_000, capacity=3000, q=1e-7, horizon=10, trials=500,
                         policy="saffron-hybrid")
+        run_experiment(cfg)
         tracemalloc.start()
         try:
             stats = run_experiment(cfg)
@@ -404,7 +407,7 @@ class TestPooledRounds:
             np.arange(max(0, center - 200), min(n, center + 200) + 1))
         cfg = SimConfig(n=n, capacity=capacity, policy="saffron-hybrid")
         rounds, slots = _rounds(cfg, np.float64(expected), pools)
-        keys = _layout_keys(pools, np.float64(expected), n, capacity).tolist()
+        keys = saffron_layout_keys(pools, np.float64(expected), capacity).tolist()
         trials = [on.tolist() for _, on in rounds]
         # the rounds partition the trials, keys ascend, and trials keep their order
         assert sorted(j for on in trials for j in on) == list(range(pools.size))

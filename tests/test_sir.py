@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,10 @@ class TestConfigValidation:
 
     def test_accepts_numpy_integers(self):
         SimConfig(n=np.int64(1000), capacity=np.int32(30), horizon=np.int64(5),
-                  trials=np.int16(2), seed=np.uint32(7)).validate()
+                  trials=np.int16(2), seed=np.uint32(7))
 
     def test_accepts_numpy_floats(self):
-        SimConfig(p=np.float32(0.2), q=np.float64(1e-5), epsilon=np.float16(1.0)).validate()
+        SimConfig(p=np.float32(0.2), q=np.float64(1e-5), epsilon=np.float16(1.0))
 
     @pytest.mark.parametrize("kwargs", [
         {"n": 0},
@@ -58,8 +60,12 @@ class TestConfigValidation:
         {"epsilon": "1"},
     ])
     def test_rejects_out_of_range(self, kwargs):
+        # the constructor itself raises, so does a copy with a field replaced,
+        # and no invalid config exists to reach an engine
         with pytest.raises(ConfigError):
-            SimConfig(**kwargs).validate()
+            SimConfig(**kwargs)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(SimConfig(), **kwargs)
 
     def test_init_population_validates_first(self):
         with pytest.raises(ConfigError):

@@ -1,10 +1,12 @@
 """Count code lines: lines holding a token that is not a comment or a docstring.
 
 Blank lines, comment lines and lines inside a bare string statement (a
-docstring) do not count. Prints one line per file, then the total::
+docstring) do not count. A directory argument stands for its ``*.py``
+files. Prints one line per file, then the total::
 
     python tools/codelines.py                      # src/sirpool/*.py
     python tools/codelines.py src/sirpool/cli.py tools/digest.py
+    python tools/codelines.py tools                # tools/*.py
 """
 
 from __future__ import annotations
@@ -31,9 +33,15 @@ def code_lines(path: pathlib.Path) -> int:
     return len(lines)
 
 
+def python_files(arg) -> list[pathlib.Path]:
+    """arg as a path: a directory's ``*.py`` files, sorted, or the one file."""
+    path = pathlib.Path(arg)
+    return sorted(path.glob("*.py")) if path.is_dir() else [path]
+
+
 def main(argv: list[str]) -> int:
     root = pathlib.Path(__file__).resolve().parent.parent
-    paths = [pathlib.Path(arg) for arg in argv] or sorted((root / "src/sirpool").glob("*.py"))
+    paths = [path for arg in argv or [root / "src/sirpool"] for path in python_files(arg)]
     counts = {path: code_lines(path) for path in paths}
     for path, count in counts.items():
         print(f"{count:6d}  {path.stem}")

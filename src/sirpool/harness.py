@@ -246,14 +246,16 @@ def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
             rng: np.random.Generator) -> np.ndarray | list[int]:
     """Inverse-CDF draws: per trial, the number of entries of its row at or below one uniform.
 
-    The uniforms come from one call over the trials. A list of rows is
-    looked up by bisection, which counts the same entries as the array
-    comparison because no row decreases.
+    The uniforms come from one call over the trials. No row decreases and
+    every row ends at exactly 1.0, above any uniform, so the entries at or
+    below u are the ones before the first entry above it: an array of rows
+    takes that entry's index (``argmax`` of the comparison, which stops at
+    the first True), and a list of rows finds it by bisection.
     """
     uniform = rng.random(len(rows))
     if isinstance(rows, list):
         return [bisect.bisect_right(cdf[k], u) for k, u in zip(rows, uniform.tolist())]
-    return (cdf[rows] <= uniform[:, np.newaxis]).sum(axis=1)
+    return (cdf[rows] > uniform[:, np.newaxis]).argmax(axis=1)
 
 
 def _singles(n: int, good: np.ndarray | list[int], tests: int,
@@ -295,15 +297,16 @@ def _spread_table(n: int, log_miss: float) -> np.ndarray | None:
     return spread
 
 
-def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray
-            ) -> tuple[list[tuple[tuple[int, int, int], np.ndarray]], np.ndarray]:
+def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray | list[int]
+            ) -> tuple[list[tuple[tuple[int, int, int], np.ndarray | list[int]]],
+                       np.ndarray | list[int]]:
     """A pooled step's rounds in draw order, and each trial's in-group slots.
 
     Trials whose non-isolated ``pools`` share a ``saffron_layout_keys`` key
     share a round: its ``saffron_layout`` (eta, groups, leftover), read
-    once, and an array of its trials' indices in trial order. Rounds come
-    in ascending key order. A trial's slots are its round's groups * eta, 0
-    where the round falls back. Both steps draw a pooled step in this order:
+    once, and its trials' indices in trial order. Rounds come in ascending
+    key order. A trial's slots are its round's groups * eta, 0 where the
+    round falls back. Both steps draw a pooled step in this order:
 
     - the in-group Hypergeom(I, S, slots) per trial, in trial order; a
       trial without slots draws 0 and consumes nothing;
@@ -311,9 +314,23 @@ def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray
       alone in a group (``_lone_groups``), then the Hypergeom(I - F,
       n - I + F, leftover) others its singletons find (``_singles``).
 
-    Keys that share a layout draw separately, each from the same law.
+    Keys that share a layout draw separately, each from the same law. An
+    int64 array of pools gives index arrays and an int64 array of slots;
+    the scalar step's list of Python integers gives the same rounds, slots
+    and order as lists, grouped by a dict without a numpy call.
     """
     keys = saffron_layout_keys(pools, expected, cfg.capacity)
+    if isinstance(pools, list):
+        members: dict[int, list[int]] = {}
+        for j, key in enumerate(keys):
+            members.setdefault(key, []).append(j)
+        rounds = [(saffron_layout(pools[on[0]], expected, cfg.capacity), on)
+                  for _, on in sorted(members.items())]
+        slots = [0] * len(pools)
+        for (eta, groups, _), on in rounds:
+            for j in on:
+                slots[j] = eta * groups
+        return rounds, slots
     # a stable sort groups the trials without ``np.unique``'s fixed cost,
     # which few trials never earn back, and without a Python loop over them,
     # which many trials do not afford
@@ -353,10 +370,10 @@ def _detections(cfg: SimConfig, expected: float | None, counts: np.ndarray,
 def _scalar_step(cfg: SimConfig, expected: float | None,
                  counts: tuple[list[int], list[int], list[int]], log_miss: float,
                  rng: np.random.Generator) -> tuple[list[int], list[int], list[int]]:
-    """One step of the live trials' S, I and R ``counts`` on Python integers: new S, I and R.
+    """One step of the live trials' S, I and R ``counts`` on Python integers, in place.
 
-    The spread steps the S and I lists it is given in place, and the
-    returned S is that list. It makes the array step's draws (the spread
+    The S, I and R lists it is given are updated in place and ``counts`` is
+    returned. It makes the array step's draws (the spread
     in ``run_experiment``, then ``_detections``, which reads ``expected``
     the same way) in the same order, one trial at a time: the spread,
     Binomial(S, p) per trial, with p from numpy's ``-expm1(I * log(1 - q))``
@@ -379,18 +396,19 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     if expected is None:
         found = _singles(cfg.n, infected, cfg.capacity, rng)
     else:
-        rounds, slots = _rounds(cfg, expected, np.array([cfg.n - r for r in isolated]))
+        rounds, slots = _rounds(cfg, expected, [cfg.n - r for r in isolated])
         in_groups = [rng.hypergeometric(i, s, k) if k else 0
-                     for i, s, k in zip(infected, susceptible, slots.tolist())]
+                     for i, s, k in zip(infected, susceptible, slots)]
         found = [0] * len(infected)
         for (eta, groups, leftover), on in rounds:
-            on = on.tolist()
             lone = _lone_groups([in_groups[j] for j in on], groups, eta, rng)
             others = _singles(cfg.n, [infected[j] - f for j, f in zip(on, lone)], leftover, rng)
             for j, f, s in zip(on, lone, others):
                 found[j] = f + s
-    return (susceptible, [i - f for i, f in zip(infected, found)],
-            [r + f for r, f in zip(isolated, found)])
+    for j, f in enumerate(found):
+        infected[j] -= f
+        isolated[j] += f
+    return counts
 
 
 def _clear(t: int, latest: np.ndarray, trial: np.ndarray, live: int,
@@ -516,7 +534,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             counts[1] -= found
             counts[2] += found
         buffer[:, t - start] = latest
-        if not counts[1].all():
+        if np.count_nonzero(counts[1]) < live:
             live = _clear(t, latest, trial, live, control_time, censored)
         t += 1
     counts = latest[:, :live].tolist()

@@ -181,7 +181,8 @@ def saffron_layout(pool: int, expected_infected: float,
     return eta, groups, capacity - groups * rows_per_group
 
 
-def saffron_layout_keys(pools: np.ndarray, expected: float, capacity: int) -> np.ndarray:
+def saffron_layout_keys(pools: np.ndarray | list[int], expected: float,
+                        capacity: int) -> np.ndarray | list[int]:
     """Per pool, a key that fixes its ``saffron_layout`` at an estimate >= 1.
 
     The layout reads the pool only through eta = pool // expected and
@@ -190,9 +191,17 @@ def saffron_layout_keys(pools: np.ndarray, expected: float, capacity: int) -> np
     groups, and the key is eta * (capacity // 2 + 1) + that: keys ascend
     with eta, then with that term. Pools below 2 * expected cannot pool;
     through eta = 1 they fall back whatever their key.
+
+    An int64 array of pools gives an int64 array of keys, and a list of
+    Python integers a list of the same keys: Python's float floor division
+    is the algorithm numpy's follows, so eta is the same float either way.
     """
+    half = capacity // 2
+    if isinstance(pools, list):
+        etas = [max(int(pool // expected), 1) for pool in pools]
+        return [eta * (half + 1) + min(pool // eta, half) for pool, eta in zip(pools, etas)]
     eta = np.maximum(pools // expected, 1).astype(np.int64)
-    return eta * (capacity // 2 + 1) + np.minimum(pools // eta, capacity // 2)
+    return eta * (half + 1) + np.minimum(pools // eta, half)
 
 
 @dataclass

@@ -260,6 +260,33 @@ class CountingGenerator:
         return counted
 
 
+# n, then the capacity and the estimate as powers of n and a window of pools
+# around a fraction of n (``pool_window``)
+POOL_WINDOWS = given(st.integers(1, 10 ** 9 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                     st.floats(0.0, 1.0))
+# n = 1000, capacity 30 and an estimate of 10 (just below it): pools 20-29
+# have eta = 2 and 10-14 groups, the one regime where the capacity // 2 cap of
+# the key binds
+CAPACITY_CAP_BINDS = example(n=1000, capacity_at=math.log(30, 1000), expected_at=1 / 3,
+                             center_at=0.0)
+
+
+def pool_window(n, capacity_at, expected_at, center_at):
+    """A hybrid config of n, a pooling estimate, and a window of up to 401 pools in shuffled order.
+
+    The capacity and the estimate are log-uniform in [1, n], so every regime
+    of the group-size rule is reached: fallback, groups capped by the
+    capacity, and groups capped by what the pool supplies. The pools are
+    in an order of their own, so trial order is not key order.
+    """
+    capacity = max(1, min(n, round(n ** capacity_at)))
+    expected = max(1.0, n ** expected_at)
+    center = round(n * center_at)
+    pools = np.random.default_rng(n).permutation(
+        np.arange(max(0, center - 200), min(n, center + 200) + 1))
+    return SimConfig(n=n, capacity=capacity, policy="saffron-hybrid"), expected, pools
+
+
 class TestPooledRounds:
     REF = dict(n=1000, capacity=30, p=0.2, q=1e-5, horizon=500, policy="saffron-hybrid")
 
@@ -388,24 +415,12 @@ class TestPooledRounds:
         _detections(cfg, 100.0, counts, np.random.default_rng(0))
         assert sorted(calls) == [700, 800, 1000]
 
-    @given(st.integers(1, 10 ** 9 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-           st.floats(0.0, 1.0))
-    # n = 1000, capacity 30 and an estimate of 10 (just below it): pools
-    # 20-29 have eta = 2 and 10-14 groups, the one regime where the
-    # capacity // 2 cap of the key binds
-    @example(n=1000, capacity_at=math.log(30, 1000), expected_at=1 / 3, center_at=0.0)
+    @POOL_WINDOWS
+    @CAPACITY_CAP_BINDS
     @settings(max_examples=200, deadline=None)
     def test_pools_sharing_a_key_share_a_layout(self, n, capacity_at, expected_at, center_at):
-        # capacity and the estimate log-uniform in [1, n], so every regime
-        # of the group-size rule is reached: fallback, groups capped by the
-        # capacity, and groups capped by what the pool supplies
-        capacity = max(1, min(n, round(n ** capacity_at)))
-        expected = max(1.0, n ** expected_at)
-        center = round(n * center_at)
-        # the window's pools in an order of their own, so trial order is not key order
-        pools = np.random.default_rng(n).permutation(
-            np.arange(max(0, center - 200), min(n, center + 200) + 1))
-        cfg = SimConfig(n=n, capacity=capacity, policy="saffron-hybrid")
+        cfg, expected, pools = pool_window(n, capacity_at, expected_at, center_at)
+        capacity = cfg.capacity
         rounds, slots = _rounds(cfg, np.float64(expected), pools)
         keys = saffron_layout_keys(pools, np.float64(expected), capacity).tolist()
         trials = [on.tolist() for _, on in rounds]
@@ -419,6 +434,80 @@ class TestPooledRounds:
                 assert saffron_layout(int(pools[j]), expected, capacity) \
                     == (eta, groups, leftover), (pools[j], pools[on[0]])
                 assert slots[j] == eta * groups
+
+    @POOL_WINDOWS
+    @CAPACITY_CAP_BINDS
+    @settings(max_examples=200, deadline=None)
+    def test_list_rounds_are_the_array_rounds(self, n, capacity_at, expected_at, center_at):
+        # the scalar step's list of pools gives the array step's layouts,
+        # trial groups in the same order, and slots, at a plan's Python
+        # float and at a numpy one
+        cfg, expected, pools = pool_window(n, capacity_at, expected_at, center_at)
+        for estimate in (expected, np.float64(expected)):
+            rounds, slots = _rounds(cfg, estimate, pools)
+            listed, listed_slots = _rounds(cfg, estimate, pools.tolist())
+            assert listed == [(layout, on.tolist()) for layout, on in rounds]
+            assert listed_slots == slots.tolist()
+            assert all(type(j) is int for _, on in listed for j in on)
+            assert all(type(k) is int for k in listed_slots)
+
+    @given(st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=30),
+           st.floats(1.0, 1e9), st.integers(1, 10 ** 9), st.booleans())
+    # pools that are exact multiples of the estimate, or of its float
+    # rounding, are where floor division's edges sit: 11 // 1.1 is 9.0
+    @example(pools=[11, 22, 33, 110, 0, 1], expected=1.1, capacity=30, numpy_estimate=False)
+    @example(pools=[11, 22, 33, 110, 0, 1], expected=1.1, capacity=30, numpy_estimate=True)
+    @example(pools=[3 * 10 ** 8, 10 ** 9, 10 ** 9 - 1], expected=1e8 / 3, capacity=10 ** 9,
+             numpy_estimate=False)
+    @example(pools=[7, 14, 21, 10 ** 9 - 3], expected=7.0, capacity=1, numpy_estimate=True)
+    @example(pools=[10 ** 9, 999_999_937], expected=999_999_937.0, capacity=3,
+             numpy_estimate=False)
+    @settings(max_examples=300, deadline=None)
+    def test_list_keys_are_the_array_keys(self, pools, expected, capacity, numpy_estimate):
+        # Python's float floor division must give numpy's eta for every
+        # pool, including pools at a multiple of the estimate
+        multiples = [round(k * expected) for k in (2, 3, 7, 10)]
+        pools = pools + [m + d for m in multiples for d in (-1, 0, 1) if 0 <= m + d <= 10 ** 9]
+        estimate = np.float64(expected) if numpy_estimate else expected
+        keys = saffron_layout_keys(pools, estimate, capacity)
+        assert keys == saffron_layout_keys(np.array(pools), estimate, capacity).tolist()
+        assert all(type(k) is int for k in keys)
+
+
+class StubUniforms:
+    """A generator stand-in whose ``random`` returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+class TestInversion:
+    @pytest.mark.parametrize("table", ["singles", "lone"])
+    def test_first_entry_above_counts_the_entries_at_or_below(self, table):
+        # singles rows for 34..40 infected among 40 start their support at
+        # 6..12; lone-group row K = 1 puts all its mass on F = 1
+        cdf = _singles_cdf(40, 12) if table == "singles" else _lone_cdf(3, 5)
+        assert (cdf[:, 0] == 0.0).any() and (cdf[:, -1] == 1.0).all()
+        rows, uniforms = [], []
+        for k, row in enumerate(cdf):
+            # each entry below 1, as a uniform and its neighbours, and the
+            # ends of [0, 1)
+            entries = np.unique(row[row < 1.0])
+            values = np.concatenate([entries, np.nextafter(entries, 0.0),
+                                     np.nextafter(entries, 1.0),
+                                     [0.0, np.nextafter(1.0, 0.0)]])
+            values = values[values < 1.0]
+            rows += [k] * values.size
+            uniforms += values.tolist()
+        rows = np.array(rows)
+        counted = (cdf[rows] <= np.array(uniforms)[:, np.newaxis]).sum(axis=1)
+        drawn = harness._invert(cdf, rows, StubUniforms(uniforms))
+        assert drawn.dtype == counted.dtype and np.array_equal(drawn, counted)
+        assert harness._invert(cdf, rows.tolist(), StubUniforms(uniforms)) == counted.tolist()
 
 
 def ndarray_fields(stats):

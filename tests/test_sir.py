@@ -67,10 +67,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             dataclasses.replace(SimConfig(), **kwargs)
 
-    def test_init_population_validates_first(self):
-        with pytest.raises(ConfigError):
-            init_population(SimConfig(p=2.0), np.random.default_rng(0))
-
 
 class TestInitPopulation:
     def test_p_zero_all_susceptible(self):

@@ -8,7 +8,7 @@ and the change's when ``--change`` names a revision, is exported with
 ``git archive`` into a temporary directory; without ``--change`` the change
 side runs from this checkout, uncommitted edits included::
 
-    python tools/pairs.py --parent HEAD~1 --label pr31 --first-seed 3101
+    python tools/pairs.py --parent HEAD~1 --label NAME --first-seed 3101
     python tools/pairs.py --parent HEAD --change HEAD --label aa --pairs 5   # A/A
 
 The file holds, per workload, each pair's records (the run's correctness,
@@ -121,9 +121,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)),
                         help="CPU every run is pinned to (default: the highest available)")
     parser.add_argument("--what", default="", help="what the change does, for the file")
-    parser.add_argument("--out", type=pathlib.Path, help="default: BENCH_<label>.json here")
     args = parser.parse_args(argv)
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         trees, commits = {}, {}

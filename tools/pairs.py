@@ -1,15 +1,15 @@
 """Alternating benchmark pairs of two revisions, summarized as ``BENCH_<label>.json``.
 
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds X --trace 0``
-once from a parent tree and once from a change tree, the parent first on odd
-seeds and the change first on even ones; seeds are the outer loop and
-workloads the inner one. Every run is pinned to one CPU. The parent's tree,
-and the change's when ``--change`` names a revision, is exported with
-``git archive`` into a temporary directory; without ``--change`` the change
-side runs from this checkout, uncommitted edits included::
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds X --trace 0``,
+X being ``BENCHMARK.json``'s ``run_seconds``, once from a parent tree and
+once from a change tree, the parent first on odd seeds and the change first
+on even ones; seeds are the outer loop and workloads the inner one. Every
+run is pinned to one CPU. Both trees are exported from committed revisions
+with ``git archive`` into a temporary directory, the change's from
+``--change`` (default ``HEAD``)::
 
     python tools/pairs.py --parent HEAD~1 --label NAME --first-seed 3101
-    python tools/pairs.py --parent HEAD --change HEAD --label aa --pairs 5   # A/A
+    python tools/pairs.py --parent HEAD --label aa --pairs 5   # A/A
 
 The file holds, per workload, each pair's records (the run's correctness,
 attempted and failed counts, its reference check and its end-to-end
@@ -111,37 +111,28 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision of the parent side")
-    parser.add_argument("--change", help="revision of the change side (default: this checkout)")
+    parser.add_argument("--change", default="HEAD", help="revision of the change side")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)),
                         help="CPU every run is pinned to (default: the highest available)")
     parser.add_argument("--what", default="", help="what the change does, for the file")
     args = parser.parse_args(argv)
+    seconds = benchmark["run_seconds"]
     out = ROOT / f"BENCH_{args.label}.json"
 
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
-        trees, commits = {}, {}
-        trees["parent"] = pathlib.Path(scratch, "parent")
-        commits["parent"] = export(args.parent, trees["parent"])
-        if args.change:
-            trees["change"] = pathlib.Path(scratch, "change")
-            commits["change"] = export(args.change, trees["change"])
-        else:
-            trees["change"] = ROOT
-            dirty = bool(git("status", "--porcelain", "--untracked-files=no").strip())
-            head = git("rev-parse", "HEAD").decode().strip()
-            commits["change"] = f"this checkout at {head}" + (" with uncommitted edits"
-                                                               if dirty else "")
+        trees = {side: pathlib.Path(scratch, side) for side in SIDES}
+        commits = {side: export(revision, trees[side])
+                   for side, revision in zip(SIDES, (args.parent, args.change))}
         seeds = range(args.first_seed, args.first_seed + args.pairs)
         result = {
             "label": args.label, "what": args.what,
             "command": f"python3 perfbench/run.py --workload W --seed S "
-                       f"--seconds {args.seconds:g} --trace 0",
+                       f"--seconds {seconds:g} --trace 0",
             "protocol": f"pairs of runs at one seed, parent first on odd seeds and change "
                         f"first on even seeds, seed outer and workload inner; each side ran "
                         f"from its own directory holding that revision's files, pinned to CPU "
@@ -155,7 +146,7 @@ def main(argv=None) -> int:
                 order = SIDES if seed % 2 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run = run_once(trees[side], workload, seed, args.seconds, args.cpu)
+                    run = run_once(trees[side], workload, seed, seconds, args.cpu)
                     pair[side] = run["record"]
                     result["machine"] = result["machine"] or {
                         k: v for k, v in run["machine"].items() if k != "commit"}

@@ -27,12 +27,24 @@ from .sir import POLICY_INDIVIDUAL, POLICY_SAFFRON_HYBRID, SimConfig
 
 @dataclass(frozen=True)
 class TheoryParams:
-    """Model parameters the closed forms depend on."""
+    """Model parameters the closed forms depend on.
+
+    Construction converts n and capacity to ``int`` and p and q to
+    ``float``, so the closed forms compute in Python floats (float64)
+    whatever numpy type a config holds: under numpy's promotion a float32 p
+    would keep 1 - p, and every form read from it, in float32. Two params
+    that compare equal therefore give the same results, which lets a cache
+    key on them.
+    """
 
     n: int
     capacity: int
     p: float
     q: float
+
+    def __post_init__(self) -> None:
+        for name, kind in (("n", int), ("capacity", int), ("p", float), ("q", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
     @classmethod
     def from_config(cls, cfg: SimConfig) -> "TheoryParams":
@@ -204,13 +216,14 @@ def saffron_layout_keys(pools: np.ndarray | list[int], expected: float,
     return eta * (half + 1) + np.minimum(pools // eta, half)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoryCurve:
     """Expected per-step trajectory (index 0 = initial state, pre-testing).
 
     ``pre_test_infected[t]`` is the expected infected count after step t's
     spread phase but before its tests: the planner's estimate for round t,
-    which ``round_plan`` reads.
+    which ``round_plan`` reads. Frozen, because ``run_experiment`` hands one
+    cached curve, with read-only arrays, to every run of a config.
     """
 
     expected_susceptible: np.ndarray
@@ -234,9 +247,8 @@ def mean_trajectory(params: TheoryParams, policy: str, horizon: int) -> TheoryCu
         raise ValueError(f"unknown policy {policy!r}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    # Python floats, so a float32 p or q cannot pull the state below float64
-    n, capacity, q = params.n, params.capacity, float(params.q)
-    a, l = float(n * (1.0 - params.p)), float(n * params.p)
+    n, capacity, q = params.n, params.capacity, params.q
+    a, l = n * (1.0 - params.p), n * params.p
     rows = [(a, l, 0.0, l)]
     for _ in range(horizon):
         a, l, g, _ = rows[-1]

@@ -12,8 +12,8 @@ from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experime
 from sirpool import harness
 from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_STEP_MAX, SINGLES_TABLE_MAX_CELLS, \
     _detections, _lone_cdf, _rounds, _scalar_step, _singles_cdf
-from sirpool.theory import TheoryParams, expected_lambda_individual, saffron_layout, \
-    saffron_layout_keys
+from sirpool.theory import TheoryParams, expected_lambda_individual, mean_trajectory, \
+    round_plan, saffron_layout, saffron_layout_keys
 
 
 def small_cfg(**kwargs):
@@ -186,11 +186,11 @@ class TestCountEngineEdges:
         # each trial draws its group counts on its own and holds at most 750 of
         # them at a time; one (trials, groups) int64 array would take 3 MB and
         # per-individual status arrays n * trials = 50 MB. A first run outside
-        # the window takes numpy's one-time lazy imports, ~0.7 MiB, so the
-        # window sees only the engine: it peaked at ~1.23 MiB, 0.76 MiB of it
-        # the run's spread table of n + 1 float64. tracemalloc cannot see the
-        # C scratch of numpy's "count" method, about 8 * groups * eta bytes
-        # per draw, so this bound leaves it out
+        # the window takes numpy's one-time lazy imports, ~0.7 MiB, and
+        # builds the config's cached spread table of n + 1 float64, 0.76 MiB,
+        # so the window sees only the engine: it peaked at ~0.47 MiB.
+        # tracemalloc cannot see the C scratch of numpy's "count" method,
+        # about 8 * groups * eta bytes per draw, so this bound leaves it out
         cfg = SimConfig(n=100_000, capacity=3000, q=1e-7, horizon=10, trials=500,
                         policy="saffron-hybrid")
         run_experiment(cfg)
@@ -321,7 +321,8 @@ class TestPooledRounds:
         cfg, counts = self.table_sized_round(copies=1)
         log_miss = math.log1p(-cfg.q)
         rng = CountingGenerator(3)
-        stepped = np.array(_scalar_step(cfg, 100.0, counts.tolist(), log_miss, rng))
+        spread = harness._spread_table(cfg.n, log_miss)
+        stepped = np.array(_scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, rng))
         assert rng.calls == {"binomial": 6, "hypergeometric": 6, "random": 4}
         found = stepped[2] - counts[2]
         assert np.array_equal(stepped.sum(axis=0), counts.sum(axis=0))
@@ -332,7 +333,7 @@ class TestPooledRounds:
         # and reads the capacity's singles table
         counts = np.hstack([counts, [[100], [50], [850]]])
         rng = CountingGenerator(3)
-        _scalar_step(cfg, 100.0, counts.tolist(), log_miss, rng)
+        _scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, rng)
         assert rng.calls == {"binomial": 7, "hypergeometric": 6, "random": 5}
 
     def test_mixed_layout_round(self):
@@ -615,7 +616,7 @@ def log_miss(q):
 
 
 class TestSpreadTable:
-    """Array steps gather the spread probability from a per-run table of the values they computed."""
+    """Both steps read the spread probability from a cached table of the values they computed."""
 
     QS = [0.0, 1e-5, 1.0, np.float32(1e-3)]
     QS_IDS = ["0", "1e-5", "1", "float32"]
@@ -639,16 +640,22 @@ class TestSpreadTable:
 
     @pytest.mark.parametrize("q", QS, ids=QS_IDS)
     @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
-    def test_table_path_matches_the_per_step_path(self, monkeypatch, policy, q):
-        cfg = SimConfig(n=1000, capacity=30, q=q, horizon=150, trials=40, seed=3, policy=policy)
+    @pytest.mark.parametrize("trials", [1, 2, SCALAR_STEP_MAX, 40])
+    def test_table_path_matches_the_per_step_path(self, monkeypatch, policy, q, trials):
+        # up to SCALAR_STEP_MAX trials every step is a scalar step, which
+        # reads the table per live trial or, without one, calls np.expm1
+        cfg = SimConfig(n=1000, capacity=30, q=q, horizon=150, trials=trials, seed=3,
+                        policy=policy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tabled, built = self.run_counting(monkeypatch, cfg)
             per_step, forced = self.run_counting(monkeypatch, cfg, lambda *args: None)
         assert len(built) == 1 and built[0].shape == (cfg.n + 1,)
         assert forced == [None]
-        # more than SCALAR_STEP_MAX trials are live after step 1, so step 2 is an array step too
-        assert np.count_nonzero(tabled.control_time > 1) > SCALAR_STEP_MAX
+        if trials > SCALAR_STEP_MAX:
+            # more than SCALAR_STEP_MAX trials are live after step 1, so step 2 is an array
+            # step too
+            assert np.count_nonzero(tabled.control_time > 1) > SCALAR_STEP_MAX
         assert_same_arrays(tabled, per_step)
 
     def test_population_past_the_cap_computes_per_step(self, monkeypatch):
@@ -668,11 +675,60 @@ class TestSpreadTable:
         tabled, _ = self.run_counting(monkeypatch, cfg, uncapped)
         assert_same_arrays(per_step, tabled)
 
-    @pytest.mark.parametrize("trials, tables", [(1, 0), (SCALAR_STEP_MAX, 0),
-                                                (SCALAR_STEP_MAX + 1, 1)])
-    def test_only_a_run_of_array_steps_builds_a_table(self, monkeypatch, trials, tables):
+    @pytest.mark.parametrize("trials", [1, SCALAR_STEP_MAX, SCALAR_STEP_MAX + 1])
+    def test_every_run_reads_one_cached_table(self, monkeypatch, trials):
+        # few-trial runs, all scalar steps, read the table too, and a rerun
+        # of the config reads the same read-only array
         _, built = self.run_counting(monkeypatch, small_cfg(trials=trials))
-        assert len(built) == tables
+        _, rebuilt = self.run_counting(monkeypatch, small_cfg(trials=trials, seed=6))
+        assert len(built) == len(rebuilt) == 1 and built[0] is rebuilt[0]
+        assert not built[0].flags.writeable
+
+
+class TestTheoryCache:
+    """Every run of a config reads one cached theory curve and round plan."""
+
+    @staticmethod
+    def direct(cfg):
+        curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
+        return curve, round_plan(curve, cfg.policy)
+
+    def assert_matches_direct(self, stats):
+        cfg = stats.config
+        curve, plan = self.direct(cfg)
+        for field in dataclasses.fields(curve):
+            a, b = getattr(stats.theory, field.name), getattr(curve, field.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        cached, cached_plan = harness._theory(TheoryParams.from_config(cfg), cfg.policy,
+                                              cfg.horizon)
+        assert cached is stats.theory and list(cached_plan) == plan
+
+    def test_theory_is_read_only(self):
+        stats = run_experiment(small_cfg())
+        for field in dataclasses.fields(stats.theory):
+            assert not getattr(stats.theory, field.name).flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.theory.expected_infected = np.zeros(3)
+
+    def test_configs_in_turn_read_their_own_curves(self):
+        a = small_cfg(policy="saffron-hybrid", p=0.3, horizon=40)
+        b = small_cfg(policy="individual", p=0.25, horizon=30)
+        runs = [run_experiment(cfg) for cfg in (a, b, a)]
+        for stats in runs:
+            self.assert_matches_direct(stats)
+        assert runs[0].theory is runs[2].theory
+
+    def test_float32_p_gets_its_own_curve(self):
+        # a float32 p equals, and hashes as, the Python float of its value,
+        # so both must read the curve that float gives, whichever ran first
+        p32 = np.float32(0.3)
+        rounded = run_experiment(small_cfg(p=0.3))
+        same_value = run_experiment(small_cfg(p=float(p32)))
+        typed = run_experiment(small_cfg(p=p32))
+        self.assert_matches_direct(typed)
+        assert typed.theory is same_value.theory
+        assert typed.theory.expected_infected[0] == 60 * float(p32)
+        assert not np.array_equal(typed.theory.expected_infected, rounded.theory.expected_infected)
 
 
 class TestEmpiricalEpsilonTime:

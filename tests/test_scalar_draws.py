@@ -82,12 +82,12 @@ def scalar_rounds(monkeypatch, cfg):
     rounds, tests = [], []
     step, lone, singles = harness._scalar_step, harness._lone_groups, harness._singles
 
-    def counted_step(cfg, expected, counts, log_miss, rng):
+    def counted_step(cfg, expected, counts, log_miss, spread, rng):
         # each step takes the previous one's lists, which must hold Python
         # integers: a numpy scalar would slow every later step's arithmetic
         assert all(type(c) is list and all(type(x) is int for x in c) for c in counts)
         rounds.append([])
-        return step(cfg, expected, counts, log_miss, rng)
+        return step(cfg, expected, counts, log_miss, spread, rng)
 
     monkeypatch.setattr(harness, "_scalar_step", counted_step)
     monkeypatch.setattr(harness, "_lone_groups", lambda infected, groups, eta, rng:

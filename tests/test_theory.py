@@ -46,6 +46,25 @@ class TestParams:
         params = TheoryParams.from_config(cfg)
         assert (params.n, params.capacity, params.p, params.q) == (50, 5, 0.1, 0.001)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_typed_inputs_compute_in_python_floats(self, dtype):
+        # numpy's promotion would keep 1 - p, and every form read from it, in
+        # the narrow type; the params hold Python numbers instead
+        p = dtype(0.2)
+        typed = TheoryParams(n=np.int64(1000), capacity=np.int16(30), p=p, q=1e-5)
+        plain = TheoryParams(n=1000, capacity=30, p=float(p), q=1e-5)
+        assert [type(typed.n), type(typed.capacity), type(typed.p), type(typed.q)] == \
+            [int, int, float, float]
+        assert typed == plain and hash(typed) == hash(plain)
+        for form, arg in [(expected_lambda_individual, 10), (expected_alpha, 10),
+                          (epsilon_control_time, 1.0)]:
+            value = form(typed, arg)
+            assert type(value) is float and value == form(plain, arg), form.__name__
+        for policy in ("individual", "saffron-hybrid"):
+            curve, reference = (mean_trajectory(params, policy, 50) for params in (typed, plain))
+            for f in dataclasses.fields(curve):
+                np.testing.assert_array_equal(getattr(curve, f.name), getattr(reference, f.name))
+
 
 class TestExpectedLambdaIndividual:
     def test_t_zero_is_initial_mean(self):
@@ -290,25 +309,26 @@ class TestMeanTrajectory:
                 assert [array[0] for array in arrays] == [n * (1 - p), n * p, 0.0, n * p]
 
     @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
-    def test_float32_inputs_run_in_float64(self, policy):
-        # SimConfig takes any real p and q; a float32 one must not pull the
-        # state down to float32. q only enters the spread, so its curve is
-        # the curve of the same value as a Python float.
-        q32 = np.float32(1e-5)
-        typed = mean_trajectory(TheoryParams(n=1000, capacity=30, p=0.2, q=q32), policy, 200)
-        plain = mean_trajectory(TheoryParams(n=1000, capacity=30, p=0.2, q=float(q32)),
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_float32_inputs_run_in_float64(self, policy, dtype):
+        # SimConfig takes any real p and q; a float32 or float16 one must not
+        # pull the state down to its own precision, so its curve is the curve
+        # of the same values as Python floats, from step 0 on
+        p, q = dtype(0.2), dtype(1e-5)
+        typed = mean_trajectory(TheoryParams(n=1000, capacity=30, p=p, q=q), policy, 200)
+        plain = mean_trajectory(TheoryParams(n=1000, capacity=30, p=float(p), q=float(q)),
                                 policy, 200)
         for f in dataclasses.fields(typed):
             np.testing.assert_array_equal(getattr(typed, f.name), getattr(plain, f.name))
-        # p only sets step 0; step 1 follows from it in Python floats
-        curve = mean_trajectory(TheoryParams(n=1000, capacity=30, p=np.float32(0.2), q=1e-5),
-                                policy, 1)
-        a, l = float(curve.expected_susceptible[0]), float(curve.expected_infected[0])
-        pre = l + 1e-5 * a * l
+        assert typed.expected_susceptible[0] == 1000 * (1.0 - float(p))
+        assert typed.expected_infected[0] == 1000 * float(p) != 1000 * 0.2
+        # step 1 follows from step 0 in Python floats
+        a, l = float(typed.expected_susceptible[0]), float(typed.expected_infected[0])
+        pre = l + float(q) * a * l
         zeta = (saffron_expected_detections(1000, 30, 0.0, pre)
                 if policy == "saffron-hybrid" else 30 / 1000 * pre)
-        assert curve.pre_test_infected[1] == pre
-        assert curve.expected_infected[1] == pre - zeta
+        assert typed.pre_test_infected[1] == pre
+        assert typed.expected_infected[1] == pre - zeta
 
 
 class TestRoundPlan:

@@ -15,7 +15,8 @@ The file holds, per workload, each pair's records (the run's correctness,
 attempted and failed counts, its reference check and its end-to-end
 metrics) and, per end-to-end metric of ``BENCHMARK.json``, both sides'
 medians and quartiles (linear interpolation), the change's wins, the
-relative change of the medians and the parent's interquartile range. It is
+relative change of the medians, the parent's interquartile range and a
+verdict (``verdict``). It is
 rewritten after every pair, so a cut run keeps the pairs it finished. In
 A/A mode, where both sides run the same code, the spreads show how far a
 metric moves by chance alone.
@@ -77,8 +78,37 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(entry: dict, values: dict[str, list[float]]) -> str:
+    """One metric's reading on one workload, from its ``summarize`` entry and both sides' runs.
+
+    In this order:
+
+    - "gain": the change won at least 9 in 10 of the pairs, ties counting
+      for neither, and its median is better than the parent's by more than
+      the parent's interquartile range;
+    - "worse": the change's median is worse than the parent's by more than
+      the metric's ``BENCHMARK.json`` bound, relative to the parent's;
+    - "unresolved": either side's interquartile range, relative to the
+      parent's median, is wider than the bound, and not every run of the
+      change is better than every run of the parent;
+    - "no worse" otherwise.
+    """
+    sign = 1 if entry["better"] == "higher" else -1
+    parent, change = entry["parent"], entry["change"]
+    shift = sign * (change["median"] - parent["median"])
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and shift > entry["parent_iqr"]:
+        return "gain"
+    allowed = entry["bound"] * abs(parent["median"])
+    if -shift > allowed:
+        return "worse"
+    spread = max(side["q3"] - side["q1"] for side in (parent, change))
+    all_better = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
+    return "unresolved" if spread > allowed and not all_better else "no worse"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's quartiles, the change's wins and the medians' shift."""
+    """Per end-to-end metric: each side's quartiles, the change's wins, the medians' shift
+    and the ``verdict``."""
     summary = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
@@ -86,24 +116,27 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         stats = {side: (quartiles(values[side]) if len(pairs) > 1
                         else dict.fromkeys(("median", "q1", "q3"), values[side][0]))
                  for side in SIDES}
-        summary[name] = {
+        entry = summary[name] = {
             "better": metric["better"], "bound": metric["bound"], **stats,
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(*values.values())),
             "pairs": len(pairs),
             "median_change_rel": stats["change"]["median"] / stats["parent"]["median"] - 1,
             "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
         }
+        entry["verdict"] = verdict(entry, values)
     return summary
 
 
 def table(result: dict) -> str:
-    rows = ["workload  metric  parent median [q1, q3]  change median [q1, q3]  wins  change"]
+    rows = ["workload  metric  parent median [q1, q3]  change median [q1, q3]  wins  change"
+            "  verdict"]
     for workload, entry in result["workloads"].items():
         for name, s in entry["summary"].items():
             p, c = s["parent"], s["change"]
             rows.append(f"{workload}  {name}  {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
                         f"  {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-                        f"  {s['change_wins']}/{s['pairs']}  {s['median_change_rel']:+.2%}")
+                        f"  {s['change_wins']}/{s['pairs']}  {s['median_change_rel']:+.2%}"
+                        f"  {s['verdict']}")
     return "\n".join(rows)
 
 

@@ -688,20 +688,15 @@ class TestSpreadTable:
 class TestTheoryCache:
     """Every run of a config reads one cached theory curve and round plan."""
 
-    @staticmethod
-    def direct(cfg):
-        curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
-        return curve, round_plan(curve, cfg.policy)
-
     def assert_matches_direct(self, stats):
         cfg = stats.config
-        curve, plan = self.direct(cfg)
+        params = TheoryParams.from_config(cfg)
+        curve = mean_trajectory(params, cfg.policy, cfg.horizon)
         for field in dataclasses.fields(curve):
             a, b = getattr(stats.theory, field.name), getattr(curve, field.name)
             assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        cached, cached_plan = harness._theory(TheoryParams.from_config(cfg), cfg.policy,
-                                              cfg.horizon)
-        assert cached is stats.theory and list(cached_plan) == plan
+        cached, plan = harness._theory(params, cfg.policy, cfg.horizon)
+        assert cached is stats.theory and list(plan) == round_plan(curve, cfg.policy)
 
     def test_theory_is_read_only(self):
         stats = run_experiment(small_cfg())

@@ -16,10 +16,9 @@ attempted and failed counts, its reference check and its end-to-end
 metrics) and, per end-to-end metric of ``BENCHMARK.json``, both sides'
 medians and quartiles (linear interpolation), the change's wins, the
 relative change of the medians, the parent's interquartile range and a
-verdict (``verdict``). It is
-rewritten after every pair, so a cut run keeps the pairs it finished. In
-A/A mode, where both sides run the same code, the spreads show how far a
-metric moves by chance alone.
+``verdict``. It is rewritten after every pair, so a cut run keeps the
+pairs it finished. In A/A mode, where both sides run the same code, the
+spreads show how far a metric moves by chance alone.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ def verdict(entry: dict, values: dict[str, list[float]]) -> str:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's quartiles, the change's wins, the medians' shift
-    and the ``verdict``."""
+    """Per end-to-end metric: both sides' quartiles, the change's wins, the shift, a verdict."""
     summary = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1

@@ -9,10 +9,8 @@ hypergeometric draws, vectorized over trials.
 
 A testing round has one ``theory.saffron_layout`` per trial: g groups of
 eta under binary codes, and the leftover tests as singletons drawn from
-all n. A run reads each step's round from ``theory.round_plan``, which
-depends on the config alone and is built once per config and process, with
-its expected trajectory (``_theory``): the estimate a step pools from, or
-None, a step of individual-testing rounds.
+all n. A run reads each step's round from ``theory.round_plan``: the
+estimate a step pools from, or None, a step of individual-testing rounds.
 A pooled step draws each trial's infected in its groups, then F, the
 groups holding exactly one infected (``_lone_groups``), and the positives
 among the leftover singletons (``_singles``), in the order ``_rounds``
@@ -47,7 +45,7 @@ import bisect
 import functools
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +57,7 @@ from .theory import (TheoryCurve, TheoryParams, mean_trajectory, round_plan, saf
 # Singleton tests draw from the ``_singles_cdf`` table when its
 # (n+1)*(tests+1) float64 cells fit in this many (1 MiB); larger runs keep
 # numpy's hypergeometric sampler, whose fixed cost per call the table avoids.
-# The array steps' spread table (``_spread_table``), n+1 cells, has the same cap.
+# The spread table (``_spread_table``), at most n+1 cells, has the same cap.
 SINGLES_TABLE_MAX_CELLS = 2 ** 17
 
 # A pooled round of g >= 2 groups of eta draws its lone-group count from the
@@ -105,8 +103,7 @@ class TrajectoryStats:
     ``control_time[i]`` is trial i's first step with no circulating
     infections, capped at the horizon; ``control_censored[i]`` flags trials
     that never got there. ``theory`` is the expected trajectory for the same
-    parameters and policy; every run of one config shares the same curve
-    (``_theory``), so it is frozen and its arrays are read-only.
+    parameters and policy.
     """
 
     config: SimConfig
@@ -280,18 +277,15 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
     return rng.hypergeometric(good, n - good, tests)
 
 
-@functools.lru_cache(maxsize=4)
 def _spread_table(n: int, log_miss: float) -> np.ndarray | None:
     """Per infected count i = 0..n, the spread probability -expm1(i * log(1 - q)).
 
-    ``log_miss`` is log(1 - q), -inf at q = 1. Entry i is the float64 that
-    numpy's expm1 gives on the Python product i * log_miss, which both steps
-    would compute from i, and entry 0 is 0.0, which skips the 0 * -inf, NaN
-    and warning at q = 1. None when the n + 1 entries pass
-    ``SINGLES_TABLE_MAX_CELLS`` (1 MiB); both steps then compute the
-    probability of their live counts themselves. The cache holds at most 4
-    tables, 4 MiB in the worst case. The table is read-only because the
-    cache hands the same array to every run of a config.
+    ``log_miss`` is log(1 - q), -inf at q = 1. Entry i is the float64
+    either step would compute from i, and entry 0 is 0.0, which skips the
+    0 * -inf, NaN and warning at q = 1. None when the n + 1 entries pass
+    ``SINGLES_TABLE_MAX_CELLS`` (1 MiB); the array step then computes the
+    probability of its live counts itself. The scalar phase also calls it
+    with a smaller n, for a table of the counts it is likely to meet.
     """
     if n + 1 > SINGLES_TABLE_MAX_CELLS:
         return None
@@ -301,26 +295,7 @@ def _spread_table(n: int, log_miss: float) -> np.ndarray | None:
     np.multiply(rest, log_miss, out=rest)
     np.expm1(rest, out=rest)
     np.negative(rest, out=rest)
-    spread.flags.writeable = False
     return spread
-
-
-@functools.lru_cache(maxsize=16)
-def _theory(params: TheoryParams, policy: str,
-            horizon: int) -> tuple[TheoryCurve, tuple[float | None, ...]]:
-    """A config's ``mean_trajectory`` and its ``round_plan``, as a tuple.
-
-    Both depend on the config's ``TheoryParams``, policy and horizon alone,
-    so every run of one config reads them from here. The curve's arrays are
-    read-only because the cache hands the same curve to every run, as
-    ``TrajectoryStats.theory``. The cache holds at most 16 entries of
-    about 64 bytes per step each (four float64 arrays and the plan's
-    floats), 0.5 MiB in all at horizon 500.
-    """
-    curve = mean_trajectory(params, policy, horizon)
-    for field in fields(curve):
-        getattr(curve, field.name).flags.writeable = False
-    return curve, tuple(round_plan(curve, policy))
 
 
 def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray | list[int]
@@ -403,24 +378,24 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     returned. It makes the array step's draws (the spread
     in ``run_experiment``, then ``_detections``, which reads ``expected``
     the same way) in the same order, one trial at a time: the spread,
-    Binomial(S, p) per trial, with p = ``spread[I]`` from the run's
-    ``_spread_table``, or, where the table is None, numpy's
-    ``-expm1(I * log(1 - q))`` over the live I, the value the array step
-    computes (``math.expm1`` differs from numpy's in the last bit at some
-    arguments), then the round's draws in ``_rounds``' order, on lists. It
-    skips an in-group draw without slots, as that zero-sample draw consumes
-    nothing.
+    Binomial(S, p) per trial, with p = ``spread[I]`` from the phase's
+    ``_spread_table``, or, when there is no table or some live I is past
+    its end, from numpy's ``-expm1(I * log(1 - q))`` over the live I, the
+    value the table holds and the array step computes (``math.expm1``
+    differs from numpy's in the last bit at some arguments), then the
+    round's draws in ``_rounds``' order, on lists. It skips an in-group
+    draw without slots, as that zero-sample draw consumes nothing.
 
     numpy's array samplers run the same C routine element by element, so
     the counts and the generator's state after the step equal the array
     step's; only the array calls' fixed cost is gone.
     """
     susceptible, infected, isolated = counts
-    if spread is None:
+    if spread is not None and max(infected) < len(spread):
+        chances = [spread[i] for i in infected]
+    else:
         # a Python float product rounds as numpy's int64-by-float64 one does
         chances = [-grow for grow in np.expm1([i * log_miss for i in infected]).tolist()]
-    else:
-        chances = [spread[i] for i in infected]
     for j, chance in enumerate(chances):
         new = rng.binomial(susceptible[j], chance)
         susceptible[j] -= new
@@ -481,15 +456,17 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     draws every trial's steps together, so a trial's path also depends on
     cfg.trials. Each step, for the trials still holding infections, spread
     is Binomial(S, 1-(1-q)^I) and the round's detections come from
-    ``_detections``, at the step's entry of the config's ``round_plan``,
-    which is read with its expected trajectory from a per-process cache
-    (``_theory``). The probability for every I in 0..n comes from one cached
-    table per (n, q) (``_spread_table``) when its n+1 float64 fit
-    ``SINGLES_TABLE_MAX_CELLS`` (1 MiB): an array step gathers from it and
-    a scalar step reads it per trial. A larger population computes
-    -expm1(I*log(1-q)) per step. The initial infected count is Binomial(n,
-    p). Counts are recorded after the testing phase of each step (step 0 is
-    the freshly drawn population). A
+    ``_detections``, at the step's entry of the run's ``round_plan``. A run
+    of more than ``SCALAR_STEP_MAX`` trials, which takes array steps, builds
+    the probability's table for every I in 0..n once (``_spread_table``)
+    when its n+1 float64 fit ``SINGLES_TABLE_MAX_CELLS`` (1 MiB), and each
+    array step gathers from it; a larger population computes
+    -expm1(I*log(1-q)) per step. The scalar phase reads that table too or,
+    where there is none, builds one for I in 0..min(n, 2*max I) from its
+    first live counts, capped the same way; a step whose live I passes the
+    table's end computes the probability itself. The initial infected count
+    is Binomial(n, p). Counts are recorded after the testing phase of each
+    step (step 0 is the freshly drawn population). A
     trial with no circulating infections never changes again, so it stops
     drawing, and once every trial has, the remaining steps are filled. Each
     step's counts of all trials wait in a (3, block,
@@ -504,34 +481,37 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     the scalar phase's pending rows, at most block*3*``SCALAR_STEP_MAX``
     integers of 8 bytes each in one ``array('q')``, which over-allocates at
     most 1/16 of them plus 7 (0.13 MiB at horizon 500, and never more than
-    3*``AGGREGATE_BLOCK_CELLS`` of them, 0.8 MiB), plus
+    3*``AGGREGATE_BLOCK_CELLS`` of them, 0.8 MiB), plus one spread table
+    of at most n+1 float64, at most 1 MiB, plus
     a per-step transient of about trials*(capacity+1) float64 when the
     singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
     for the table, one trial's g group counts at a time and, below
     ``MARGINALS_MIN_ETA``, about 8*g*eta bytes of numpy's C scratch per
-    draw (``_lone_groups``). The caches, which outlive the run, add at most
-    16 MiB of singles tables, 4 MiB of lone-group tables and 4 MiB of spread
-    tables, and about 64*(horizon+1) bytes of theory curve and round plan
-    for each of at most 16 configs (0.5 MiB in all at horizon 500).
+    draw (``_lone_groups``). The cached tables add at most 16 MiB of
+    singles tables and 4 MiB of lone-group tables.
 
     The run has two phases. Array steps run while more than
     ``SCALAR_STEP_MAX`` trials are live. Live trials never rise, so from the
     first step at or below the constant to the end of the run, one scalar
     phase runs: it reads the live counts into S, I and R lists once, and
     each step (``_scalar_step``) makes the array step's draws in the same
-    order, one trial at a time, on those lists, from the same spread table.
-    The phase holds the steps' live counts as pending rows and copies them
-    into the buffer only when a block fills, a trial clears or the run
-    ends; the cleared trials' columns come from their frozen counts. Both
-    phases retire cleared trials through ``_clear``. The scalar step's counts and the
+    order, one trial at a time, on those lists, reading the spread
+    probability from the phase's table, whose entries are the values the
+    array step computes. The phase holds the steps'
+    live counts as pending rows and copies them into the buffer only when
+    a block fills, a trial clears or the run ends; the cleared trials'
+    columns come from their frozen counts. Both phases retire cleared
+    trials through ``_clear``. The scalar step's counts and the
     generator's state after it equal the array step's, so every output is
     bit-identical to a run of array steps alone, whatever the constant.
     """
-    curve, plan = _theory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
+    curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
     log_miss = math.log1p(-cfg.q) if cfg.q < 1.0 else -math.inf
-    spread = _spread_table(cfg.n, log_miss)
+    plan = round_plan(curve, cfg.policy)
+    # a run of few trials takes array step 0 alone, which draws nothing
+    spread = _spread_table(cfg.n, log_miss) if cfg.trials > SCALAR_STEP_MAX else None
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
@@ -570,6 +550,12 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             live = _clear(t, latest, trial, live, control_time, censored)
         t += 1
     counts = latest[:, :live].tolist()
+    if spread is None and live and t < steps:
+        # a run of few trials, or past the cap: a table up to twice the
+        # largest live I takes ~0.13 ms at I = 20,000 and saves ~1 us of
+        # np.expm1 call per step, so it pays for itself within ~150 steps
+        spread = _spread_table(min(cfg.n, 2 * max(counts[1]), SINGLES_TABLE_MAX_CELLS - 1),
+                               log_miss)
     # the live S, I and R of steps first..t, one step after another, until
     # the buffer takes them
     rows, first = array("q"), t

@@ -33,8 +33,7 @@ class TheoryParams:
     ``float``, so the closed forms compute in Python floats (float64)
     whatever numpy type a config holds: under numpy's promotion a float32 p
     would keep 1 - p, and every form read from it, in float32. Two params
-    that compare equal therefore give the same results, which lets a cache
-    key on them.
+    that compare equal therefore give the same results.
     """
 
     n: int
@@ -216,14 +215,13 @@ def saffron_layout_keys(pools: np.ndarray | list[int], expected: float,
     return eta * (half + 1) + np.minimum(pools // eta, half)
 
 
-@dataclass(frozen=True)
+@dataclass
 class TheoryCurve:
     """Expected per-step trajectory (index 0 = initial state, pre-testing).
 
     ``pre_test_infected[t]`` is the expected infected count after step t's
     spread phase but before its tests: the planner's estimate for round t,
-    which ``round_plan`` reads. Frozen, because ``run_experiment`` hands one
-    cached curve, with read-only arrays, to every run of a config.
+    which ``round_plan`` reads.
     """
 
     expected_susceptible: np.ndarray

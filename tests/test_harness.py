@@ -12,8 +12,8 @@ from sirpool import ConfigError, SimConfig, empirical_epsilon_time, run_experime
 from sirpool import harness
 from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_STEP_MAX, SINGLES_TABLE_MAX_CELLS, \
     _detections, _lone_cdf, _rounds, _scalar_step, _singles_cdf
-from sirpool.theory import TheoryParams, expected_lambda_individual, mean_trajectory, \
-    round_plan, saffron_layout, saffron_layout_keys
+from sirpool.theory import TheoryParams, expected_lambda_individual, saffron_layout, \
+    saffron_layout_keys
 
 
 def small_cfg(**kwargs):
@@ -186,11 +186,12 @@ class TestCountEngineEdges:
         # each trial draws its group counts on its own and holds at most 750 of
         # them at a time; one (trials, groups) int64 array would take 3 MB and
         # per-individual status arrays n * trials = 50 MB. A first run outside
-        # the window takes numpy's one-time lazy imports, ~0.7 MiB, and
-        # builds the config's cached spread table of n + 1 float64, 0.76 MiB,
-        # so the window sees only the engine: it peaked at ~0.47 MiB.
-        # tracemalloc cannot see the C scratch of numpy's "count" method,
-        # about 8 * groups * eta bytes per draw, so this bound leaves it out
+        # the window takes numpy's one-time lazy imports, ~0.7 MiB, so the
+        # window sees only the engine: it peaked at ~1.23 MiB, 0.76 MiB of it
+        # the run's spread table of n + 1 float64, which its scalar phase
+        # reads too. tracemalloc cannot see the C scratch of numpy's "count"
+        # method, about 8 * groups * eta bytes per draw, so this bound leaves
+        # it out
         cfg = SimConfig(n=100_000, capacity=3000, q=1e-7, horizon=10, trials=500,
                         policy="saffron-hybrid")
         run_experiment(cfg)
@@ -616,7 +617,7 @@ def log_miss(q):
 
 
 class TestSpreadTable:
-    """Both steps read the spread probability from a cached table of the values they computed."""
+    """Both steps read the spread probability from a per-run table of the values they compute."""
 
     QS = [0.0, 1e-5, 1.0, np.float32(1e-3)]
     QS_IDS = ["0", "1e-5", "1", "float32"]
@@ -642,17 +643,19 @@ class TestSpreadTable:
     @pytest.mark.parametrize("policy", ["individual", "saffron-hybrid"])
     @pytest.mark.parametrize("trials", [1, 2, SCALAR_STEP_MAX, 40])
     def test_table_path_matches_the_per_step_path(self, monkeypatch, policy, q, trials):
-        # up to SCALAR_STEP_MAX trials every step is a scalar step, which
-        # reads the table per live trial or, without one, calls np.expm1
+        # up to SCALAR_STEP_MAX trials every step after step 0 is a scalar
+        # step, which reads its phase's table per live trial or, without
+        # one, calls np.expm1; at q = 1 the live I pass that table's end
         cfg = SimConfig(n=1000, capacity=30, q=q, horizon=150, trials=trials, seed=3,
                         policy=policy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tabled, built = self.run_counting(monkeypatch, cfg)
             per_step, forced = self.run_counting(monkeypatch, cfg, lambda *args: None)
-        assert len(built) == 1 and built[0].shape == (cfg.n + 1,)
-        assert forced == [None]
+        assert len(built) == 1 and built[0].shape[0] <= cfg.n + 1
+        assert forced and all(table is None for table in forced)
         if trials > SCALAR_STEP_MAX:
+            assert built[0].shape == (cfg.n + 1,)
             # more than SCALAR_STEP_MAX trials are live after step 1, so step 2 is an array
             # step too
             assert np.count_nonzero(tabled.control_time > 1) > SCALAR_STEP_MAX
@@ -675,55 +678,27 @@ class TestSpreadTable:
         tabled, _ = self.run_counting(monkeypatch, cfg, uncapped)
         assert_same_arrays(per_step, tabled)
 
+    @pytest.mark.parametrize("n", [1000, 100_000])
     @pytest.mark.parametrize("trials", [1, SCALAR_STEP_MAX, SCALAR_STEP_MAX + 1])
-    def test_every_run_reads_one_cached_table(self, monkeypatch, trials):
-        # few-trial runs, all scalar steps, read the table too, and a rerun
-        # of the config reads the same read-only array
-        _, built = self.run_counting(monkeypatch, small_cfg(trials=trials))
-        _, rebuilt = self.run_counting(monkeypatch, small_cfg(trials=trials, seed=6))
-        assert len(built) == len(rebuilt) == 1 and built[0] is rebuilt[0]
-        assert not built[0].flags.writeable
+    def test_every_run_builds_one_table(self, monkeypatch, n, trials):
+        # a run of array steps builds the whole table, which its scalar
+        # phase reads too; a run of few trials takes array step 0 only, and
+        # its scalar phase builds the table up to twice the largest I drawn
+        cfg = SimConfig(n=n, capacity=30, q=1e-7, horizon=20, trials=trials, seed=4)
+        _, built = self.run_counting(monkeypatch, cfg)
+        drawn = np.random.default_rng(cfg.seed).binomial(cfg.n, cfg.p, size=cfg.trials)
+        size = n if trials > SCALAR_STEP_MAX else min(n, 2 * int(drawn.max()))
+        assert len(built) == 1 and built[0].shape == (size + 1,)
 
-
-class TestTheoryCache:
-    """Every run of a config reads one cached theory curve and round plan."""
-
-    def assert_matches_direct(self, stats):
-        cfg = stats.config
-        params = TheoryParams.from_config(cfg)
-        curve = mean_trajectory(params, cfg.policy, cfg.horizon)
-        for field in dataclasses.fields(curve):
-            a, b = getattr(stats.theory, field.name), getattr(curve, field.name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        cached, plan = harness._theory(params, cfg.policy, cfg.horizon)
-        assert cached is stats.theory and list(plan) == round_plan(curve, cfg.policy)
-
-    def test_theory_is_read_only(self):
-        stats = run_experiment(small_cfg())
-        for field in dataclasses.fields(stats.theory):
-            assert not getattr(stats.theory, field.name).flags.writeable
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            stats.theory.expected_infected = np.zeros(3)
-
-    def test_configs_in_turn_read_their_own_curves(self):
-        a = small_cfg(policy="saffron-hybrid", p=0.3, horizon=40)
-        b = small_cfg(policy="individual", p=0.25, horizon=30)
-        runs = [run_experiment(cfg) for cfg in (a, b, a)]
-        for stats in runs:
-            self.assert_matches_direct(stats)
-        assert runs[0].theory is runs[2].theory
-
-    def test_float32_p_gets_its_own_curve(self):
-        # a float32 p equals, and hashes as, the Python float of its value,
-        # so both must read the curve that float gives, whichever ran first
-        p32 = np.float32(0.3)
-        rounded = run_experiment(small_cfg(p=0.3))
-        same_value = run_experiment(small_cfg(p=float(p32)))
-        typed = run_experiment(small_cfg(p=p32))
-        self.assert_matches_direct(typed)
-        assert typed.theory is same_value.theory
-        assert typed.theory.expected_infected[0] == 60 * float(p32)
-        assert not np.array_equal(typed.theory.expected_infected, rounded.theory.expected_infected)
+    def test_counts_past_the_table_compute_per_step(self, monkeypatch):
+        # at q = 0.5 the single trial's I passes twice its first draw in
+        # step 1, so every later step computes its probability, as a run
+        # without a table does
+        cfg = SimConfig(n=1000, capacity=30, q=0.5, horizon=20, trials=1, seed=4)
+        tabled, built = self.run_counting(monkeypatch, cfg)
+        per_step, _ = self.run_counting(monkeypatch, cfg, lambda *args: None)
+        assert built[0].shape[0] - 1 < tabled.mean_infected.max()
+        assert_same_arrays(tabled, per_step)
 
 
 class TestEmpiricalEpsilonTime:

@@ -14,10 +14,15 @@ RATE = {"name": "trials_per_s", "better": "higher", "bound": 0.2}
 TIME = {"name": "experiment_s_p50", "better": "lower", "bound": 0.2}
 
 
-def reading(metric, parent, change):
-    """The verdict on pairs whose runs read ``parent`` and ``change``, pair by pair."""
-    runs = [{"parent": {metric["name"]: p}, "change": {metric["name"]: c}}
-            for p, c in zip(parent, change)]
+def reading(metric, parent, change, failed=(0, 0)):
+    """The verdict on pairs whose runs read ``parent`` and ``change``, pair by pair.
+
+    Each run attempted 20 experiments; ``failed`` gives how many of them
+    failed in each parent run and in each change run.
+    """
+    runs = [{side: {metric["name"]: value, "attempted": 20, "failed": lost}
+             for side, value, lost in zip(("parent", "change"), values, failed)}
+            for values in zip(parent, change)]
     return pairs.summarize(runs, [metric])[metric["name"]]["verdict"]
 
 
@@ -54,3 +59,12 @@ def test_wide_spread_reads_no_worse_only_when_every_change_run_is_better():
     parent = [1, 2, 3, 5, 19, 19, 19, 19, 19.5, 19.5]
     assert reading(RATE, parent, [20] * 10) == "no worse"
     assert reading(RATE, parent, [20] * 9 + [19.4]) == "unresolved"
+
+
+def test_more_failures_read_worse_whatever_the_metric():
+    faster = [x + 15 for x in PARENT]
+    assert reading(RATE, PARENT, faster, failed=(0, 1)) == "worse"
+    assert reading(TIME, faster, PARENT, failed=(2, 3)) == "worse"
+    # as many failures on both sides leave the metric's reading
+    assert reading(RATE, PARENT, faster, failed=(1, 1)) == "gain"
+    assert reading(RATE, PARENT, faster, failed=(1, 0)) == "gain"

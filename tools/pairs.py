@@ -15,10 +15,11 @@ The file holds, per workload, each pair's records (the run's correctness,
 attempted and failed counts, its reference check and its end-to-end
 metrics) and, per end-to-end metric of ``BENCHMARK.json``, both sides'
 medians and quartiles (linear interpolation), the change's wins, the
-relative change of the medians, the parent's interquartile range and a
-``verdict``. It is rewritten after every pair, so a cut run keeps the
-pairs it finished. In A/A mode, where both sides run the same code, the
-spreads show how far a metric moves by chance alone.
+relative change of the medians, the parent's interquartile range, each
+side's share of failed experiments and a ``verdict``. It is rewritten
+after every pair, so a cut run keeps the pairs it finished. In A/A mode,
+where both sides run the same code, the spreads show how far a metric
+moves by chance alone.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def verdict(entry: dict, values: dict[str, list[float]]) -> str:
 
     In this order:
 
+    - "worse": the change failed a larger share of its experiments than the
+      parent, whatever the metric reads;
     - "gain": the change won at least 9 in 10 of the pairs, ties counting
       for neither, and its median is better than the parent's by more than
       the parent's interquartile range;
@@ -92,6 +95,8 @@ def verdict(entry: dict, values: dict[str, list[float]]) -> str:
       change is better than every run of the parent;
     - "no worse" otherwise.
     """
+    if entry["failed_share"]["change"] > entry["failed_share"]["parent"]:
+        return "worse"
     sign = 1 if entry["better"] == "higher" else -1
     parent, change = entry["parent"], entry["change"]
     shift = sign * (change["median"] - parent["median"])
@@ -105,9 +110,16 @@ def verdict(entry: dict, values: dict[str, list[float]]) -> str:
     return "unresolved" if spread > allowed and not all_better else "no worse"
 
 
+def failed_share(pairs: list[dict], side: str) -> float:
+    """The share of one side's experiments that failed, over all its runs."""
+    attempted = sum(pair[side]["attempted"] for pair in pairs)
+    return sum(pair[side]["failed"] for pair in pairs) / attempted if attempted else 0.0
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per end-to-end metric: both sides' quartiles, the change's wins, the shift, a verdict."""
     summary = {}
+    failed = {side: failed_share(pairs, side) for side in SIDES}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
@@ -120,6 +132,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "pairs": len(pairs),
             "median_change_rel": stats["change"]["median"] / stats["parent"]["median"] - 1,
             "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
+            "failed_share": failed,
         }
         entry["verdict"] = verdict(entry, values)
     return summary

@@ -690,6 +690,17 @@ class TestSpreadTable:
         size = n if trials > SCALAR_STEP_MAX else min(n, 2 * int(drawn.max()))
         assert len(built) == 1 and built[0].shape == (size + 1,)
 
+    def test_scalar_step_reads_the_table_while_every_count_fits(self):
+        # a table of zeros spreads nothing; a table one entry short of the
+        # largest I is not read, and at q = 0.5 nearly every S is infected
+        cfg = small_cfg(q=0.5)
+        zeros = np.zeros(21)
+        for table, spread in [(zeros, False), (zeros[:20], True)]:
+            counts = ([40, 40], [20, 10], [0, 10])
+            susceptible, _, _ = _scalar_step(cfg, None, counts, log_miss(cfg.q), table,
+                                             np.random.default_rng(1))
+            assert (susceptible != [40, 40]) is spread
+
     def test_counts_past_the_table_compute_per_step(self, monkeypatch):
         # at q = 0.5 the single trial's I passes twice its first draw in
         # step 1, so every later step computes its probability, as a run

@@ -262,11 +262,14 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
              rng: np.random.Generator) -> np.ndarray | list[int]:
     """Positives among ``tests`` singleton tests drawn from all n, per trial of ``good`` infected.
 
-    The law is Hypergeom(good, n - good, tests). With no tests it finds
-    no one and draws nothing. When the ``_singles_cdf`` table fits
-    ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial is inverted through
-    its row; otherwise numpy's sampler runs, once per trial on a list of
-    counts.
+    The law is Hypergeom(good, n - good, tests). A pooled round's leftover
+    tests draw here, so ``tests`` changes from round to round; a round of
+    individual tests, whose ``tests`` is the run's capacity, draws from the
+    sampler ``run_experiment`` picks once per run, the same way. With no
+    tests it finds no one and draws nothing. When the ``_singles_cdf``
+    table fits ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial is
+    inverted through its row; otherwise numpy's sampler runs, once per
+    trial on a list of counts.
     """
     if not tests:
         return [0] * len(good) if isinstance(good, list) else np.zeros_like(good)
@@ -346,19 +349,17 @@ def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray | list[int]
     return rounds, slots
 
 
-def _detections(cfg: SimConfig, expected: float | None, counts: np.ndarray,
+def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
-    """Infections one testing round identifies, per trial, from post-spread counts.
+    """Infections one pooled testing round identifies, per trial, from post-spread counts.
 
-    ``expected`` is the step's entry of the run's ``round_plan``. At None
-    the round spends the whole capacity on singletons drawn from all n,
-    isolated individuals included (one ``_singles`` call). Otherwise it
-    draws the step's ``_rounds`` on arrays: one in-group call over every
-    trial, then one call per sampler and round.
+    ``expected`` is the step's entry of the run's ``round_plan``, a pooling
+    estimate; a step at None, a round of individual tests, draws from the
+    run's singles sampler in ``run_experiment`` instead. The round draws
+    the step's ``_rounds`` on arrays: one in-group call over every trial,
+    then one call per sampler and round.
     """
     susceptible, infected, isolated = counts
-    if expected is None:
-        return _singles(cfg.n, infected, cfg.capacity, rng)
     rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
     in_groups = rng.hypergeometric(infected, susceptible, slots)
     found = np.zeros_like(infected)
@@ -370,51 +371,60 @@ def _detections(cfg: SimConfig, expected: float | None, counts: np.ndarray,
 
 def _scalar_step(cfg: SimConfig, expected: float | None,
                  counts: tuple[list[int], list[int], list[int]], log_miss: float,
-                 spread: np.ndarray | None,
+                 spread: np.ndarray | None, singles: np.ndarray | None,
                  rng: np.random.Generator) -> tuple[list[int], list[int], list[int]]:
     """One step of the live trials' S, I and R ``counts`` on Python integers, in place.
 
     The S, I and R lists it is given are updated in place and ``counts`` is
-    returned. It makes the array step's draws (the spread
-    in ``run_experiment``, then ``_detections``, which reads ``expected``
-    the same way) in the same order, one trial at a time: the spread,
-    Binomial(S, p) per trial, with p = ``spread[I]`` from the phase's
-    ``_spread_table``, or, when there is no table or some live I is past
-    its end, from numpy's ``-expm1(I * log(1 - q))`` over the live I, the
-    value the table holds and the array step computes (``math.expm1``
-    differs from numpy's in the last bit at some arguments), then the
-    round's draws in ``_rounds``' order, on lists. It skips an in-group
-    draw without slots, as that zero-sample draw consumes nothing.
+    returned. It makes the array step's draws (in ``run_experiment``) in
+    the same order, one trial at a time: the spread, Binomial(S, p) per
+    trial, with p = ``spread[I]`` from the phase's ``_spread_table``, or,
+    when there is no table or some live I is past its end, from numpy's
+    ``-expm1(I * log(1 - q))`` over the live I, the value the table holds
+    and the array step computes (``math.expm1`` differs from numpy's in
+    the last bit at some arguments), then the round. At an ``expected`` of
+    None, a round of individual tests, each trial's positives come from
+    the run's singles sampler, ``singles``: bisection of the trial's row
+    of that ``_singles_cdf`` table at one uniform from one call over the
+    trials or, without a table, numpy's hypergeometric, and move from I to
+    R in the same loop. A pooled round (``_detections``) makes its draws in
+    ``_rounds``' order, on lists, and skips an in-group draw without
+    slots, as that zero-sample draw consumes nothing.
 
     numpy's array samplers run the same C routine element by element, so
     the counts and the generator's state after the step equal the array
     step's; only the array calls' fixed cost is gone.
     """
     susceptible, infected, isolated = counts
-    if spread is not None and max(infected) < len(spread):
-        chances = [spread[i] for i in infected]
-    else:
+    if spread is None or max(infected) >= len(spread):
         # a Python float product rounds as numpy's int64-by-float64 one does
-        chances = [-grow for grow in np.expm1([i * log_miss for i in infected]).tolist()]
-    for j, chance in enumerate(chances):
-        new = rng.binomial(susceptible[j], chance)
+        spread = dict(zip(infected, [-grow for grow in
+                                     np.expm1([i * log_miss for i in infected]).tolist()]))
+    for j, i in enumerate(infected):
+        new = rng.binomial(susceptible[j], spread[i])
         susceptible[j] -= new
-        infected[j] += new
+        infected[j] = i + new
     if expected is None:
-        found = _singles(cfg.n, infected, cfg.capacity, rng)
-    else:
-        rounds, slots = _rounds(cfg, expected, [cfg.n - r for r in isolated])
-        in_groups = [rng.hypergeometric(i, s, k) if k else 0
-                     for i, s, k in zip(infected, susceptible, slots)]
-        found = [0] * len(infected)
-        for (eta, groups, leftover), on in rounds:
-            lone = _lone_groups([in_groups[j] for j in on], groups, eta, rng)
-            others = _singles(cfg.n, [infected[j] - f for j, f in zip(on, lone)], leftover, rng)
-            for j, f, s in zip(on, lone, others):
-                found[j] = f + s
-    for j, f in enumerate(found):
-        infected[j] -= f
-        isolated[j] += f
+        if singles is None:
+            for j, i in enumerate(infected):
+                found = rng.hypergeometric(i, cfg.n - i, cfg.capacity)
+                infected[j] = i - found
+                isolated[j] += found
+        else:
+            for j, u in enumerate(rng.random(len(infected)).tolist()):
+                found = bisect.bisect_right(singles[infected[j]], u)
+                infected[j] -= found
+                isolated[j] += found
+        return counts
+    rounds, slots = _rounds(cfg, expected, [cfg.n - r for r in isolated])
+    in_groups = [rng.hypergeometric(i, s, k) if k else 0
+                 for i, s, k in zip(infected, susceptible, slots)]
+    for (eta, groups, leftover), on in rounds:
+        lone = _lone_groups([in_groups[j] for j in on], groups, eta, rng)
+        others = _singles(cfg.n, [infected[j] - f for j, f in zip(on, lone)], leftover, rng)
+        for j, f, s in zip(on, lone, others):
+            infected[j] -= f + s
+            isolated[j] += f + s
     return counts
 
 
@@ -512,6 +522,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     plan = round_plan(curve, cfg.policy)
     # a run of few trials takes array step 0 alone, which draws nothing
     spread = _spread_table(cfg.n, log_miss) if cfg.trials > SCALAR_STEP_MAX else None
+    singles = (_singles_cdf(cfg.n, cfg.capacity) if None in plan
+               and (cfg.n + 1) * (cfg.capacity + 1) <= SINGLES_TABLE_MAX_CELLS else None)
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
@@ -529,6 +541,9 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     latest = np.stack([cfg.n - infected, infected, np.zeros_like(infected)])
     trial = np.arange(cfg.trials)
     live = cfg.trials
+    # views of the live trials' counts, rebound when ``live`` changes
+    counts = latest[:, :live]
+    susceptible, infected, isolated = counts
     # the array phase, then, from the first step at or below the constant,
     # the scalar phase; ``t`` is the next step to run
     t = 0
@@ -536,20 +551,27 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
         if t - start == block:
             _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
             start = t
-        counts = latest[:, :live]
         if t:
-            new = rng.binomial(counts[0], -np.expm1(counts[1] * log_miss) if spread is None
-                               else spread[counts[1]])
-            counts[0] -= new
-            counts[1] += new
-            found = _detections(cfg, plan[t], counts, rng)
-            counts[1] -= found
-            counts[2] += found
+            new = rng.binomial(susceptible, -np.expm1(infected * log_miss) if spread is None
+                               else spread[infected])
+            susceptible -= new
+            infected += new
+            if plan[t] is not None:
+                found = _detections(cfg, plan[t], counts, rng)
+            elif singles is None:
+                found = rng.hypergeometric(infected, cfg.n - infected, cfg.capacity)
+            else:
+                # ``_invert``'s lookup, on the run's table
+                found = (singles[infected] > rng.random(live)[:, np.newaxis]).argmax(axis=1)
+            infected -= found
+            isolated += found
         buffer[:, t - start] = latest
-        if np.count_nonzero(counts[1]) < live:
+        if np.count_nonzero(infected) < live:
             live = _clear(t, latest, trial, live, control_time, censored)
+            counts = latest[:, :live]
+            susceptible, infected, isolated = counts
         t += 1
-    counts = latest[:, :live].tolist()
+    counts = counts.tolist()
     if spread is None and live and t < steps:
         # a run of few trials, or past the cap: a table up to twice the
         # largest live I takes ~0.13 ms at I = 20,000 and saves ~1 us of
@@ -563,7 +585,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
         if t - start == block:
             _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
             start = t
-        counts = _scalar_step(cfg, plan[t], counts, log_miss, spread, rng)
+        counts = _scalar_step(cfg, plan[t], counts, log_miss, spread, singles, rng)
         susceptible, infected, isolated = counts
         rows.fromlist(susceptible + infected + isolated)
         cleared_any = 0 in infected

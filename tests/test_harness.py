@@ -323,7 +323,8 @@ class TestPooledRounds:
         log_miss = math.log1p(-cfg.q)
         rng = CountingGenerator(3)
         spread = harness._spread_table(cfg.n, log_miss)
-        stepped = np.array(_scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, rng))
+        stepped = np.array(_scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, None,
+                                         rng))
         assert rng.calls == {"binomial": 6, "hypergeometric": 6, "random": 4}
         found = stepped[2] - counts[2]
         assert np.array_equal(stepped.sum(axis=0), counts.sum(axis=0))
@@ -334,7 +335,7 @@ class TestPooledRounds:
         # and reads the capacity's singles table
         counts = np.hstack([counts, [[100], [50], [850]]])
         rng = CountingGenerator(3)
-        _scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, rng)
+        _scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, None, rng)
         assert rng.calls == {"binomial": 7, "hypergeometric": 6, "random": 5}
 
     def test_mixed_layout_round(self):
@@ -400,7 +401,12 @@ class TestPooledRounds:
             monkeypatch.setattr(harness, name, counted)
         stats = run_experiment(small_cfg(policy=policy, p=p, trials=trials, horizon=40))
         assert (stats.theory.pre_test_infected[1:].max() >= 1.0) == (p > 0.1)
-        assert bool(calls["_detections"]) == (trials > SCALAR_STEP_MAX)
+        # steps 1 to the last one run (the latest control time) are array
+        # steps until the scalar phase takes the rest; only pooled array
+        # steps call ``_detections``
+        array_steps = stats.control_time.max() - calls["_scalar_step"]
+        assert bool(array_steps) == (trials > SCALAR_STEP_MAX)
+        assert bool(calls["_detections"]) == (pools and trials > SCALAR_STEP_MAX)
         assert calls["_scalar_step"] > 0
         assert bool(calls["_rounds"]) == bool(calls["saffron_layout"]) == pools
 
@@ -698,6 +704,7 @@ class TestSpreadTable:
         for table, spread in [(zeros, False), (zeros[:20], True)]:
             counts = ([40, 40], [20, 10], [0, 10])
             susceptible, _, _ = _scalar_step(cfg, None, counts, log_miss(cfg.q), table,
+                                             _singles_cdf(cfg.n, cfg.capacity),
                                              np.random.default_rng(1))
             assert (susceptible != [40, 40]) is spread
 

@@ -7,7 +7,8 @@ the constant to 0 runs every step on arrays, and setting it to the trial
 count runs every step after step 0 in the scalar phase; every
 ``TrajectoryStats`` array must be the same either way, and the same as at
 the default constant, where a run crosses from one phase to the other as
-its trials clear.
+its trials clear. Each individual-testing round draws from the one singles
+sampler its run picks, a table or numpy's hypergeometric, in both phases.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from sirpool import SimConfig, run_experiment
 from sirpool import harness
 from sirpool.harness import LONE_TABLE_MAX_CELLS, SCALAR_STEP_MAX, SINGLES_TABLE_MAX_CELLS
-from tests.test_harness import ndarray_fields
+from tests.test_harness import CountingGenerator, ndarray_fields
 
 LENGTHS = (0, 1, SCALAR_STEP_MAX, SCALAR_STEP_MAX + 1)
 
@@ -45,6 +46,15 @@ CONFIGS = {
                                   policy="individual", trials=6, seed=6),
     "hybrid-capacity-n": dict(n=60, capacity=60, p=0.3, q=1e-3, horizon=10,
                               policy="saffron-hybrid", trials=6, seed=7),
+    # individual rounds too wide for a singles table: numpy's sampler draws
+    "individual-wide": dict(n=100_000, capacity=3000, p=2e-3, q=1e-7, horizon=12,
+                            policy="individual", trials=3, seed=8),
+    # a singles table of exactly SINGLES_TABLE_MAX_CELLS cells, and one row
+    # over it
+    "individual-table-cap": dict(n=4095, capacity=31, p=0.01, q=1e-4, horizon=20,
+                                 policy="individual", trials=3, seed=9),
+    "individual-past-table-cap": dict(n=4096, capacity=31, p=0.01, q=1e-4, horizon=20,
+                                      policy="individual", trials=3, seed=9),
 }
 
 
@@ -78,30 +88,39 @@ def run(monkeypatch, cfg, threshold):
 
 
 def scalar_rounds(monkeypatch, cfg):
-    """The all-scalar run, each step's (groups, eta) per layout, and each singles draw's tests."""
-    rounds, tests = [], []
+    """The all-scalar run and, per step, its (groups, eta) per layout and its individual round.
+
+    Also each leftover singles draw's tests. A step's individual round is
+    None for a pooled step, and otherwise the run's singles sampler (its
+    table, or None for numpy's) with the generator methods the step called.
+    """
+    rounds, individual, tests = [], [], []
     step, lone, singles = harness._scalar_step, harness._lone_groups, harness._singles
 
-    def counted_step(cfg, expected, counts, log_miss, spread, rng):
+    def counted_step(cfg, expected, counts, log_miss, spread, table, rng):
         # each step takes the previous one's lists, which must hold Python
         # integers: a numpy scalar would slow every later step's arithmetic
         assert all(type(c) is list and all(type(x) is int for x in c) for c in counts)
         rounds.append([])
-        return step(cfg, expected, counts, log_miss, spread, rng)
+        # default_rng hands a Generator back as it is, so this counts rng's calls
+        counting = CountingGenerator(rng)
+        counts = step(cfg, expected, counts, log_miss, spread, table, counting)
+        individual.append(None if expected is not None else (table, set(counting.calls)))
+        return counts
 
     monkeypatch.setattr(harness, "_scalar_step", counted_step)
     monkeypatch.setattr(harness, "_lone_groups", lambda infected, groups, eta, rng:
                         rounds[-1].append((groups, eta)) or lone(infected, groups, eta, rng))
     monkeypatch.setattr(harness, "_singles", lambda n, good, count, rng:
                         tests.append(count) or singles(n, good, count, rng))
-    return run(monkeypatch, cfg, cfg.trials), rounds, tests
+    return run(monkeypatch, cfg, cfg.trials), rounds, individual, tests
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_scalar_step_is_bit_identical_to_the_array_step(monkeypatch, name):
     cfg = SimConfig(**CONFIGS[name])
     runs = {"array": run(monkeypatch, cfg, 0), "default": run(monkeypatch, cfg, SCALAR_STEP_MAX)}
-    scalar, rounds, tests = scalar_rounds(monkeypatch, cfg)
+    scalar, rounds, individual, tests = scalar_rounds(monkeypatch, cfg)
     for label, other in runs.items():
         for field, a in ndarray_fields(scalar).items():
             b = getattr(other, field)
@@ -116,7 +135,18 @@ def test_scalar_step_is_bit_identical_to_the_array_step(monkeypatch, name):
     if name == "hybrid":
         assert any({g for g, _ in step} >= {0, 2} for step in rounds)
     tableless = [k for k in tests if (cfg.n + 1) * (k + 1) > SINGLES_TABLE_MAX_CELLS]
-    assert bool(tableless) == (cfg.n > 10 ** 4)
+    assert bool(tableless) == (name == "hybrid-wide")
+    # every individual round draws from the one sampler the run picked: the
+    # capacity's table, read by one call of uniforms, or numpy's
+    # hypergeometric, per trial
+    fits = (cfg.n + 1) * (cfg.capacity + 1) <= SINGLES_TABLE_MAX_CELLS
+    assert fits == (name not in ("hybrid-wide", "individual-wide", "individual-past-table-cap"))
+    table = harness._singles_cdf(cfg.n, cfg.capacity) if fits else None
+    draw = "random" if fits else "hypergeometric"
+    picked = [round for round in individual if round is not None]
+    assert all(sampler is table and calls == {"binomial", draw} for sampler, calls in picked)
+    if name.startswith("individual"):
+        assert len(picked) == len(rounds)
     if cfg.trials > SCALAR_STEP_MAX:
         # the default run crosses from the array step to the scalar step
         cleared = scalar.control_time[~scalar.control_censored]

@@ -14,7 +14,8 @@ estimate a step pools from, or None, a step of individual-testing rounds.
 A pooled step draws each trial's infected in its groups, then F, the
 groups holding exactly one infected (``_lone_groups``), and the positives
 among the leftover singletons (``_singles``), in the order ``_rounds``
-states. Each sampler serves one
+states. A step at None draws each trial's positives among the capacity's
+singletons from the one sampler its run picks. Each sampler serves one
 shape. It inverts one uniform per trial through a cached CDF table of its
 law (inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 III.2) when the table fits its cap, and otherwise calls numpy's sampler:
@@ -80,12 +81,14 @@ MARGINALS_MIN_ETA = 41
 # run runs on Python integers (``_scalar_step``), with the array step's
 # draws: live trials never rise, so once scalar, always scalar. Timed on one
 # pinned CPU over steps recorded at n = 1000 (T = 30) and n = 10^5
-# (T = 3000), the scalar step's cost relative to the array step's grew with
-# the live trials and first reached 1 for individual testing at n = 1000,
-# whose singles read a table: 0.33-0.35 at 1 trial, 0.93-0.96 at 10 and 11,
-# 0.94-1.01 at 12 and 1.08 at 13, over two passes. At 16 it was 0.86 for
-# pooled steps at n = 1000, and 0.84-0.85 and 0.99 for individual and
-# pooled steps at n = 10^5.
+# (T = 3000), two passes, the scalar step's cost relative to the array
+# step's grew with the live trials. It first reached 1 for individual
+# testing at n = 1000, whose array step reads the singles table and costs
+# ~14 us: 0.25-0.40 at 1 trial, 0.91-0.92 at 8, 1.06-1.07 at 10 and 1.15 at
+# 11. At 11 it was 0.64 and 0.84-0.85 for individual and hybrid steps at
+# n = 10^5 and 0.80-0.82 for hybrid steps at n = 1000, and all three stayed
+# below 1 through 16 (0.87, 0.90-0.92 and 0.97-0.99). So the value stays
+# where those three save 8-21 us a step and the fourth pays 1-2 us.
 SCALAR_STEP_MAX = 11
 
 # ``run_experiment`` copies each step's counts into a (3, block, trials) int64
@@ -465,9 +468,16 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     Deterministic for a fixed config: one generator seeded with cfg.seed
     draws every trial's steps together, so a trial's path also depends on
     cfg.trials. Each step, for the trials still holding infections, spread
-    is Binomial(S, 1-(1-q)^I) and the round's detections come from
-    ``_detections``, at the step's entry of the run's ``round_plan``. A run
-    of more than ``SCALAR_STEP_MAX`` trials, which takes array steps, builds
+    is Binomial(S, 1-(1-q)^I), then the round at the step's entry of the
+    run's ``round_plan``. A pooled round's detections come from
+    ``_detections``. A round of individual tests (an entry of None) finds
+    Hypergeom(I, n-I, capacity) positives per trial, from a sampler the run
+    picks once, when its plan holds such a round: the ``_singles_cdf``
+    table of (n, capacity) when it fits ``SINGLES_TABLE_MAX_CELLS``, read
+    by inverting one uniform per trial through the trial's row (``_invert``'s
+    lookup in an array step, bisection in a scalar one), and numpy's
+    hypergeometric otherwise. A run of more than ``SCALAR_STEP_MAX``
+    trials, which takes array steps, builds
     the probability's table for every I in 0..n once (``_spread_table``)
     when its n+1 float64 fit ``SINGLES_TABLE_MAX_CELLS`` (1 MiB), and each
     array step gathers from it; a larger population computes
@@ -502,7 +512,9 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     singles tables and 4 MiB of lone-group tables.
 
     The run has two phases. Array steps run while more than
-    ``SCALAR_STEP_MAX`` trials are live. Live trials never rise, so from the
+    ``SCALAR_STEP_MAX`` trials are live, on S, I and R views of the live
+    trials' columns, bound once and rebound when ``_clear`` changes how
+    many are live. Live trials never rise, so from the
     first step at or below the constant to the end of the run, one scalar
     phase runs: it reads the live counts into S, I and R lists once, and
     each step (``_scalar_step``) makes the array step's draws in the same

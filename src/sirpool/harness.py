@@ -390,7 +390,7 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     the run's singles sampler, ``singles``: bisection of the trial's row
     of that ``_singles_cdf`` table at one uniform from one call over the
     trials or, without a table, numpy's hypergeometric, and move from I to
-    R in the same loop. A pooled round (``_detections``) makes its draws in
+    R in the same loop. A pooled round makes ``_detections``' draws in
     ``_rounds``' order, on lists, and skips an in-group draw without
     slots, as that zero-sample draw consumes nothing.
 
@@ -400,7 +400,8 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     """
     susceptible, infected, isolated = counts
     if spread is None or max(infected) >= len(spread):
-        # a Python float product rounds as numpy's int64-by-float64 one does
+        # keyed by I, so the loop reads it as it reads the table; a Python
+        # float product rounds as numpy's int64-by-float64 one does
         spread = dict(zip(infected, [-grow for grow in
                                      np.expm1([i * log_miss for i in infected]).tolist()]))
     for j, i in enumerate(infected):

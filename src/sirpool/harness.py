@@ -207,8 +207,8 @@ def _lone_groups(infected: np.ndarray | list[int], groups: int, eta: int,
     scalar = isinstance(infected, list)
     if groups < 2:
         return [int(k == 1) for k in infected] if scalar else infected == 1
-    if (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS:
-        return _invert(_lone_cdf(groups, eta), infected, rng)
+    if _lone_table_fits(groups, eta):
+        return _invert(_lone_cdf(groups, eta), infected, rng.random(len(infected)))
     slots = np.full(groups, eta)
     method = "marginals" if eta >= MARGINALS_MIN_ETA else "count"
     lone = [int(np.count_nonzero(rng.multivariate_hypergeometric(slots, k, method=method) == 1))
@@ -245,8 +245,18 @@ def _singles_cdf(n: int, tests: int) -> np.ndarray:
     return cdf
 
 
+def _lone_table_fits(groups: int, eta: int) -> bool:
+    """Whether a round of ``groups`` >= 2 groups of ``eta`` draws F from its ``_lone_cdf`` table."""
+    return (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS
+
+
+def _singles_table_fits(n: int, tests: int) -> bool:
+    """Whether ``tests`` singleton tests among n draw from their ``_singles_cdf`` table."""
+    return (n + 1) * (tests + 1) <= SINGLES_TABLE_MAX_CELLS
+
+
 def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
-            rng: np.random.Generator) -> np.ndarray | list[int]:
+            uniform: np.ndarray) -> np.ndarray | list[int]:
     """Inverse-CDF draws: per trial, the number of entries of its row at or below one uniform.
 
     The uniforms come from one call over the trials. No row decreases and
@@ -255,10 +265,9 @@ def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
     takes that entry's index (``argmax`` of the comparison, which stops at
     the first True), and a list of rows finds it by bisection.
     """
-    uniform = rng.random(len(rows))
     if isinstance(rows, list):
         return [bisect.bisect_right(cdf[k], u) for k, u in zip(rows, uniform.tolist())]
-    return (cdf[rows] > uniform[:, np.newaxis]).argmax(axis=1)
+    return (cdf.take(rows, axis=0) > uniform[:, np.newaxis]).argmax(axis=1)
 
 
 def _singles(n: int, good: np.ndarray | list[int], tests: int,
@@ -276,8 +285,8 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
     """
     if not tests:
         return [0] * len(good) if isinstance(good, list) else np.zeros_like(good)
-    if (n + 1) * (tests + 1) <= SINGLES_TABLE_MAX_CELLS:
-        return _invert(_singles_cdf(n, tests), good, rng)
+    if _singles_table_fits(n, tests):
+        return _invert(_singles_cdf(n, tests), good, rng.random(len(good)))
     if isinstance(good, list):
         return [rng.hypergeometric(k, n - k, tests) for k in good]
     return rng.hypergeometric(good, n - good, tests)
@@ -352,6 +361,27 @@ def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray | list[int]
     return rounds, slots
 
 
+def _table_uniforms(n: int, rounds: list[tuple[tuple[int, int, int], np.ndarray]]) -> int | None:
+    """The uniforms a pooled step's ``rounds`` invert through tables, or None when one calls numpy.
+
+    A round of g >= 2 groups takes one per trial for its lone groups, and a
+    round with leftover singleton tests one per trial for its singles, when
+    their tables fit; a round too wide for either table calls a numpy
+    sampler.
+    """
+    uniforms = 0
+    for (eta, groups, leftover), on in rounds:
+        if groups >= 2:
+            if not _lone_table_fits(groups, eta):
+                return None
+            uniforms += on.size
+        if leftover:
+            if not _singles_table_fits(n, leftover):
+                return None
+            uniforms += on.size
+    return uniforms
+
+
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one pooled testing round identifies, per trial, from post-spread counts.
@@ -365,10 +395,28 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     susceptible, infected, isolated = counts
     rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
     in_groups = rng.hypergeometric(infected, susceptible, slots)
-    found = np.zeros_like(infected)
+    found = np.zeros(infected.size, dtype=np.int64)
+    uniforms = _table_uniforms(cfg.n, rounds)
+    if uniforms is None:
+        for (eta, groups, leftover), on in rounds:
+            lone = _lone_groups(in_groups[on], groups, eta, rng)
+            found[on] = lone + _singles(cfg.n, infected[on] - lone, leftover, rng)
+        return found
+    # every draw inverts a table: one call takes the uniforms, in draw order
+    uniform = rng.random(uniforms)
+    used = 0
     for (eta, groups, leftover), on in rounds:
-        lone = _lone_groups(in_groups[on], groups, eta, rng)
-        found[on] = lone + _singles(cfg.n, infected[on] - lone, leftover, rng)
+        lone = in_groups[on]
+        if groups < 2:
+            lone = lone == 1
+        else:
+            lone = _invert(_lone_cdf(groups, eta), lone, uniform[used:used + on.size])
+            used += on.size
+        if leftover:
+            lone = lone + _invert(_singles_cdf(cfg.n, leftover), infected[on] - lone,
+                                  uniform[used:used + on.size])
+            used += on.size
+        found[on] = lone
     return found
 
 
@@ -536,7 +584,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     # a run of few trials takes array step 0 alone, which draws nothing
     spread = _spread_table(cfg.n, log_miss) if cfg.trials > SCALAR_STEP_MAX else None
     singles = (_singles_cdf(cfg.n, cfg.capacity) if None in plan
-               and (cfg.n + 1) * (cfg.capacity + 1) <= SINGLES_TABLE_MAX_CELLS else None)
+               and _singles_table_fits(cfg.n, cfg.capacity) else None)
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
@@ -575,7 +623,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
                 found = rng.hypergeometric(infected, cfg.n - infected, cfg.capacity)
             else:
                 # ``_invert``'s lookup, on the run's table
-                found = (singles[infected] > rng.random(live)[:, np.newaxis]).argmax(axis=1)
+                found = (singles.take(infected, axis=0)
+                         > rng.random(live)[:, np.newaxis]).argmax(axis=1)
             infected -= found
             isolated += found
         buffer[:, t - start] = latest

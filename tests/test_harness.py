@@ -313,7 +313,41 @@ class TestPooledRounds:
         found = _detections(cfg, 100.0, counts, rng)
         assert np.all((0 <= found) & (found <= counts[1]))
         assert not found[counts[1] == 0].any()
-        assert rng.calls == {"hypergeometric": 1, "random": 4}
+        # one call of uniforms serves every table read of the step
+        assert rng.calls == {"hypergeometric": 1, "random": 1}
+
+    @staticmethod
+    def per_round(cfg, expected, counts, rng):
+        """``_detections``' draws round by round, each table read with its own call of uniforms."""
+        susceptible, infected, isolated = counts
+        rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
+        in_groups = rng.hypergeometric(infected, susceptible, slots)
+        found = np.zeros_like(infected)
+        for (eta, groups, leftover), on in rounds:
+            lone = harness._lone_groups(in_groups[on], groups, eta, rng)
+            found[on] = lone + harness._singles(cfg.n, infected[on] - lone, leftover, rng)
+        return found
+
+    @pytest.mark.parametrize("copies", [1, 2, 7])
+    def test_one_call_of_uniforms_draws_as_each_round_would(self, copies):
+        # the table-sized rounds at an estimate of 100, and at an estimate of
+        # 2 pools of 1000, 100, 40 and 3: one group of 500 and 12 leftover
+        # tests, two groups of 50 or 20 with 6 or 10, and a fallback to 30
+        # singles
+        cfg, table_sized = self.table_sized_round(copies)
+        pools = np.repeat([1000, 100, 40, 3], 3 * copies)
+        layouts = {saffron_layout(pool, 2.0, cfg.capacity) for pool in pools.tolist()}
+        assert layouts == {(500, 1, 12), (50, 2, 6), (20, 2, 10), (0, 0, 30)}
+        for seed in range(4):
+            infected = np.random.default_rng(seed).integers(0, np.minimum(pools, 6) + 1)
+            states = [(100.0, table_sized),
+                      (2.0, np.stack([pools - infected, infected, cfg.n - pools]))]
+            for expected, counts in states:
+                rng, reference = CountingGenerator(seed), np.random.default_rng(seed)
+                found = _detections(cfg, expected, counts, rng)
+                assert rng.calls == {"hypergeometric": 1, "random": 1}
+                assert np.array_equal(found, self.per_round(cfg, expected, counts, reference))
+                assert rng.rng.bit_generator.state == reference.bit_generator.state
 
     def test_scalar_step_draws_per_trial(self):
         # one binomial and one in-group hypergeometric per trial, then one
@@ -482,17 +516,6 @@ class TestPooledRounds:
         assert all(type(k) is int for k in keys)
 
 
-class StubUniforms:
-    """A generator stand-in whose ``random`` returns the given uniforms."""
-
-    def __init__(self, uniforms):
-        self.uniforms = np.array(uniforms, dtype=np.float64)
-
-    def random(self, size):
-        assert size == self.uniforms.size
-        return self.uniforms.copy()
-
-
 class TestInversion:
     @pytest.mark.parametrize("table", ["singles", "lone"])
     def test_first_entry_above_counts_the_entries_at_or_below(self, table):
@@ -511,11 +534,11 @@ class TestInversion:
             values = values[values < 1.0]
             rows += [k] * values.size
             uniforms += values.tolist()
-        rows = np.array(rows)
-        counted = (cdf[rows] <= np.array(uniforms)[:, np.newaxis]).sum(axis=1)
-        drawn = harness._invert(cdf, rows, StubUniforms(uniforms))
+        rows, uniforms = np.array(rows), np.array(uniforms)
+        counted = (cdf[rows] <= uniforms[:, np.newaxis]).sum(axis=1)
+        drawn = harness._invert(cdf, rows, uniforms)
         assert drawn.dtype == counted.dtype and np.array_equal(drawn, counted)
-        assert harness._invert(cdf, rows.tolist(), StubUniforms(uniforms)) == counted.tolist()
+        assert harness._invert(cdf, rows.tolist(), uniforms) == counted.tolist()
 
 
 def ndarray_fields(stats):

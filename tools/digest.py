@@ -2,7 +2,7 @@
 
 Four sets of runs, each stated below:
 
-- ``run_experiment`` on 76 configs (``EXPERIMENTS``): every
+- ``run_experiment`` on 77 configs (``EXPERIMENTS``): every
   ``TrajectoryStats`` array, its theory curve's included;
 - ``mean_trajectory`` and ``round_plan`` on 240 ``TheoryParams`` configs
   (``THEORY``) under both policies at horizons 0, 1 and 500; a plan is
@@ -69,6 +69,11 @@ def _experiments() -> list[dict]:
     # the acceptance suite's two 1000-trial fixtures
     configs += [dict(**ref, p=0.2, horizon=500, policy=policy, trials=1000, seed=20260810)
                 for policy in POLICIES]
+    # the reference epidemic at n=3000: its pooled array steps read only
+    # tables (131), mix table-sized and wide rounds (35) or call numpy's
+    # samplers alone (10)
+    configs.append(dict(n=3000, capacity=90, q=3.3e-6, p=0.2, horizon=500,
+                        policy="saffron-hybrid", trials=30, seed=11))
     return configs
 
 

@@ -20,7 +20,12 @@ shape. It inverts one uniform per trial through a cached CDF table of its
 law (inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 III.2) when the table fits its cap, and otherwise calls numpy's sampler:
 the multivariate hypergeometric one per trial for F, the hypergeometric
-one for the singles.
+one for the singles. An inversion needs its uniforms only in order, and
+one call for a + b uniforms gives the doubles of a call for a and one
+for b, so an array step whose pooled draws all read tables, as every step
+at n=1000, T=30 does, takes its uniforms in one call and hands each
+lookup the next slice. Table rows are gathered with ``take``, about three
+times faster than fancy indexing on a 2-D table.
 
 Late in a run, or in a run of few trials, those array calls' fixed cost
 outweighs their work. A cleared trial never comes back, so from the first
@@ -81,14 +86,16 @@ MARGINALS_MIN_ETA = 41
 # run runs on Python integers (``_scalar_step``), with the array step's
 # draws: live trials never rise, so once scalar, always scalar. Timed on one
 # pinned CPU over steps recorded at n = 1000 (T = 30) and n = 10^5
-# (T = 3000), two passes, the scalar step's cost relative to the array
-# step's grew with the live trials. It first reached 1 for individual
-# testing at n = 1000, whose array step reads the singles table and costs
-# ~14 us: 0.25-0.40 at 1 trial, 0.91-0.92 at 8, 1.06-1.07 at 10 and 1.15 at
-# 11. At 11 it was 0.64 and 0.84-0.85 for individual and hybrid steps at
-# n = 10^5 and 0.80-0.82 for hybrid steps at n = 1000, and all three stayed
-# below 1 through 16 (0.87, 0.90-0.92 and 0.97-0.99). So the value stays
-# where those three save 8-21 us a step and the fourth pays 1-2 us.
+# (T = 3000), the first k live trials of 20-trial runs, two passes, the
+# scalar step's cost relative to the array step's grew with k. It first
+# reached 1 for individual testing at n = 1000, whose array step reads the
+# singles table and costs ~14 us: 0.20-0.21 at 1 trial, 0.89 at 8, 1.04-1.07
+# at 10 and 1.13-1.15 at 11. At 11 it was 0.77-0.78 for pooled steps at
+# n = 1000 (~63 us on arrays), and 0.61 and 0.92 for individual and pooled
+# steps at n = 10^5, and all three stayed at or below 1 through 16 (0.99-1.00,
+# 0.83-0.85 and 0.97-0.98). So the value stays where those three save 14-19
+# us a step and the fourth pays ~2 us; at 9, 10, 11 and 12 both reference
+# workloads ran within 1% of each other.
 SCALAR_STEP_MAX = 11
 
 # ``run_experiment`` copies each step's counts into a (3, block, trials) int64
@@ -257,13 +264,16 @@ def _singles_table_fits(n: int, tests: int) -> bool:
 
 def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
             uniform: np.ndarray) -> np.ndarray | list[int]:
-    """Inverse-CDF draws: per trial, the number of entries of its row at or below one uniform.
+    """Inverse-CDF draws: per trial, the number of entries of its row at or below its uniform.
 
-    The uniforms come from one call over the trials. No row decreases and
-    every row ends at exactly 1.0, above any uniform, so the entries at or
-    below u are the ones before the first entry above it: an array of rows
-    takes that entry's index (``argmax`` of the comparison, which stops at
-    the first True), and a list of rows finds it by bisection.
+    ``uniform`` holds one uniform per row: a sampler's own call over the
+    trials, or a slice of a pooled step's one call (``_detections``). No
+    row decreases and every row ends at exactly 1.0, above any uniform, so
+    the entries at or below u are the ones before the first entry above it:
+    an array of rows gathers its table rows with ``take`` (~0.5 us against
+    ~1.4 us for ``cdf[rows]`` at 42 rows of 31) and takes that entry's index
+    (``argmax`` of the comparison, which stops at the first True), and a
+    list of rows finds it by bisection.
     """
     if isinstance(rows, list):
         return [bisect.bisect_right(cdf[k], u) for k, u in zip(rows, uniform.tolist())]
@@ -389,8 +399,14 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     ``expected`` is the step's entry of the run's ``round_plan``, a pooling
     estimate; a step at None, a round of individual tests, draws from the
     run's singles sampler in ``run_experiment`` instead. The round draws
-    the step's ``_rounds`` on arrays: one in-group call over every trial,
-    then one call per sampler and round.
+    the step's ``_rounds`` on arrays, one in-group call over every trial
+    first. When every round's draws read a table or draw nothing
+    (``_table_uniforms``), one ``random`` call then takes the step's
+    uniforms, at most two per trial, and each lookup reads the next slice
+    in ``_rounds``' order: the uniforms and the generator's state after the
+    step are those of one call per lookup. A step with a round that calls a
+    numpy sampler, whose draws fall between the uniforms, makes one call
+    per sampler and round.
     """
     susceptible, infected, isolated = counts
     rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
@@ -413,10 +429,11 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
             lone = _invert(_lone_cdf(groups, eta), lone, uniform[used:used + on.size])
             used += on.size
         if leftover:
-            lone = lone + _invert(_singles_cdf(cfg.n, leftover), infected[on] - lone,
-                                  uniform[used:used + on.size])
+            found[on] = lone + _invert(_singles_cdf(cfg.n, leftover), infected[on] - lone,
+                                       uniform[used:used + on.size])
             used += on.size
-        found[on] = lone
+        else:
+            found[on] = lone
     return found
 
 
@@ -524,12 +541,13 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     picks once, when its plan holds such a round: the ``_singles_cdf``
     table of (n, capacity) when it fits ``SINGLES_TABLE_MAX_CELLS``, read
     by inverting one uniform per trial through the trial's row (``_invert``'s
-    lookup in an array step, bisection in a scalar one), and numpy's
-    hypergeometric otherwise. A run of more than ``SCALAR_STEP_MAX``
+    lookup, rows gathered with ``take``, in an array step, bisection in a
+    scalar one), and numpy's hypergeometric otherwise. A run of more than ``SCALAR_STEP_MAX``
     trials, which takes array steps, builds
     the probability's table for every I in 0..n once (``_spread_table``)
     when its n+1 float64 fit ``SINGLES_TABLE_MAX_CELLS`` (1 MiB), and each
-    array step gathers from it; a larger population computes
+    array step gathers from it by fancy indexing, which beats ``take`` on
+    one axis; a larger population computes
     -expm1(I*log(1-q)) per step. The scalar phase reads that table too or,
     where there is none, builds one for I in 0..min(n, 2*max I) from its
     first live counts, capped the same way; a step whose live I passes the
@@ -553,7 +571,9 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     3*``AGGREGATE_BLOCK_CELLS`` of them, 0.8 MiB), plus one spread table
     of at most n+1 float64, at most 1 MiB, plus
     a per-step transient of about trials*(capacity+1) float64 when the
-    singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
+    singleton draws use a ``_singles_cdf`` table, and, in a pooled step
+    whose draws all read tables, its one array of uniforms, at most
+    2*trials float64, and, in a pooled round,
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
     for the table, one trial's g group counts at a time and, below
     ``MARGINALS_MIN_ETA``, about 8*g*eta bytes of numpy's C scratch per

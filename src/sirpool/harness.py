@@ -193,7 +193,7 @@ def _lone_cdf(groups: int, eta: int) -> np.ndarray:
 
 
 def _lone_groups(infected: np.ndarray | list[int], groups: int, eta: int,
-                 rng: np.random.Generator) -> np.ndarray | list[int]:
+                 rng: np.random.Generator | _Uniforms) -> np.ndarray | list[int]:
     """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
 
     Trial j's K = infected[j] members sit uniformly at random among the
@@ -209,7 +209,8 @@ def _lone_groups(infected: np.ndarray | list[int], groups: int, eta: int,
     allocates about 8 * groups * eta bytes of C scratch per call, which
     tracemalloc does not see. The array step passes an int64 array and gets
     one back; the scalar step (``_scalar_step``) passes a list of Python
-    integers and gets a list back.
+    integers and gets a list back. ``rng`` is the run's generator or, in
+    an array step whose draws all read tables, the step's ``_Uniforms``.
     """
     scalar = isinstance(infected, list)
     if groups < 2:
@@ -281,7 +282,7 @@ def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
 
 
 def _singles(n: int, good: np.ndarray | list[int], tests: int,
-             rng: np.random.Generator) -> np.ndarray | list[int]:
+             rng: np.random.Generator | _Uniforms) -> np.ndarray | list[int]:
     """Positives among ``tests`` singleton tests drawn from all n, per trial of ``good`` infected.
 
     The law is Hypergeom(good, n - good, tests). A pooled round's leftover
@@ -290,8 +291,9 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
     sampler ``run_experiment`` picks once per run, the same way. With no
     tests it finds no one and draws nothing. When the ``_singles_cdf``
     table fits ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial is
-    inverted through its row; otherwise numpy's sampler runs, once per
-    trial on a list of counts.
+    inverted through its row, its uniforms drawn from ``rng`` as in
+    ``_lone_groups``; otherwise numpy's sampler runs, once per trial on a
+    list of counts.
     """
     if not tests:
         return [0] * len(good) if isinstance(good, list) else np.zeros_like(good)
@@ -371,6 +373,27 @@ def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray | list[int]
     return rounds, slots
 
 
+class _Uniforms:
+    """One call's uniforms, handed out in consecutive slices as calls of ``rng.random`` would be.
+
+    A pooled step whose draws all read tables passes this to
+    ``_lone_groups`` and ``_singles`` in place of its generator
+    (``_detections``); each ``random(size)`` returns the next ``size``
+    uniforms of the call.
+    """
+
+    __slots__ = ("uniform", "used")
+
+    def __init__(self, uniform: np.ndarray) -> None:
+        self.uniform = uniform
+        self.used = 0
+
+    def random(self, size: int) -> np.ndarray:
+        start = self.used
+        self.used += size
+        return self.uniform[start:self.used]
+
+
 def _table_uniforms(n: int, rounds: list[tuple[tuple[int, int, int], np.ndarray]]) -> int | None:
     """The uniforms a pooled step's ``rounds`` invert through tables, or None when one calls numpy.
 
@@ -402,38 +425,25 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     the step's ``_rounds`` on arrays, one in-group call over every trial
     first. When every round's draws read a table or draw nothing
     (``_table_uniforms``), one ``random`` call then takes the step's
-    uniforms, at most two per trial, and each lookup reads the next slice
-    in ``_rounds``' order: the uniforms and the generator's state after the
+    uniforms, at most two per trial, and ``_lone_groups`` and ``_singles``
+    read them through ``_Uniforms``, each lookup the next slice in
+    ``_rounds``' order: the uniforms and the generator's state after the
     step are those of one call per lookup. A step with a round that calls a
-    numpy sampler, whose draws fall between the uniforms, makes one call
-    per sampler and round.
+    numpy sampler, whose draws fall between the uniforms, hands both the
+    generator, so each table lookup makes its own call.
     """
     susceptible, infected, isolated = counts
     rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
     in_groups = rng.hypergeometric(infected, susceptible, slots)
-    found = np.zeros(infected.size, dtype=np.int64)
     uniforms = _table_uniforms(cfg.n, rounds)
-    if uniforms is None:
-        for (eta, groups, leftover), on in rounds:
-            lone = _lone_groups(in_groups[on], groups, eta, rng)
-            found[on] = lone + _singles(cfg.n, infected[on] - lone, leftover, rng)
-        return found
-    # every draw inverts a table: one call takes the uniforms, in draw order
-    uniform = rng.random(uniforms)
-    used = 0
+    # when every draw inverts a table, one call takes the uniforms, in draw order
+    source = rng if uniforms is None else _Uniforms(rng.random(uniforms))
+    found = np.zeros(infected.size, dtype=np.int64)
     for (eta, groups, leftover), on in rounds:
-        lone = in_groups[on]
-        if groups < 2:
-            lone = lone == 1
-        else:
-            lone = _invert(_lone_cdf(groups, eta), lone, uniform[used:used + on.size])
-            used += on.size
-        if leftover:
-            found[on] = lone + _invert(_singles_cdf(cfg.n, leftover), infected[on] - lone,
-                                       uniform[used:used + on.size])
-            used += on.size
-        else:
-            found[on] = lone
+        lone = _lone_groups(in_groups[on], groups, eta, source)
+        # a round without leftover tests finds no singles and draws nothing
+        found[on] = (lone + _singles(cfg.n, infected[on] - lone, leftover, source)
+                     if leftover else lone)
     return found
 
 

@@ -328,6 +328,13 @@ class TestPooledRounds:
             found[on] = lone + harness._singles(cfg.n, infected[on] - lone, leftover, rng)
         return found
 
+    def test_uniforms_serve_one_call_as_consecutive_calls(self):
+        # one call of 2 + 3 + 0 + 4 doubles, served in slices, gives four calls' doubles
+        source = harness._Uniforms(np.random.default_rng(5).random(9))
+        reference = np.random.default_rng(5)
+        for size in (2, 3, 0, 4):
+            assert np.array_equal(source.random(size), reference.random(size))
+
     @pytest.mark.parametrize("copies", [1, 2, 7])
     def test_one_call_of_uniforms_draws_as_each_round_would(self, copies):
         # the table-sized rounds at an estimate of 100, and at an estimate of

@@ -20,12 +20,10 @@ shape. It inverts one uniform per trial through a cached CDF table of its
 law (inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 III.2) when the table fits its cap, and otherwise calls numpy's sampler:
 the multivariate hypergeometric one per trial for F, the hypergeometric
-one for the singles. An inversion needs its uniforms only in order, and
-one call for a + b uniforms gives the doubles of a call for a and one
-for b, so an array step whose pooled draws all read tables, as every step
-at n=1000, T=30 does, takes its uniforms in one call and hands each
-lookup the next slice. Table rows are gathered with ``take``, about three
-times faster than fancy indexing on a 2-D table.
+one for the singles. Each table lookup draws its own uniforms, one
+``random`` call over its trials, so a pooled step makes one call per
+lookup, as the scalar step does. Table rows are gathered with ``take``,
+about three times faster than fancy indexing on a 2-D table.
 
 Late in a run, or in a run of few trials, those array calls' fixed cost
 outweighs their work. A cleared trial never comes back, so from the first
@@ -193,15 +191,15 @@ def _lone_cdf(groups: int, eta: int) -> np.ndarray:
 
 
 def _lone_groups(infected: np.ndarray | list[int], groups: int, eta: int,
-                 rng: np.random.Generator | _Uniforms) -> np.ndarray | list[int]:
+                 rng: np.random.Generator) -> np.ndarray | list[int]:
     """Per trial, the groups holding exactly one of ``infected`` members, among ``groups`` of ``eta``.
 
     Trial j's K = infected[j] members sit uniformly at random among the
     groups * eta slots. A round of at most one group draws nothing: its one
     group is lone when K = 1, and a round of no groups, where the planner
     fell back, holds K = 0. A round whose ``_lone_cdf`` table fits
-    ``LONE_TABLE_MAX_CELLS`` inverts one uniform per trial through the
-    table's row. In a wider round the groups' member counts follow the
+    ``LONE_TABLE_MAX_CELLS`` inverts one uniform per trial, from one
+    ``random`` call over its trials, through the table's row. In a wider round the groups' member counts follow the
     multivariate hypergeometric law of K draws from ``groups`` colours of
     ``eta`` each; numpy draws one such vector per trial, holding one trial's
     counts at a time, with the method that is faster at this eta
@@ -209,13 +207,12 @@ def _lone_groups(infected: np.ndarray | list[int], groups: int, eta: int,
     allocates about 8 * groups * eta bytes of C scratch per call, which
     tracemalloc does not see. The array step passes an int64 array and gets
     one back; the scalar step (``_scalar_step``) passes a list of Python
-    integers and gets a list back. ``rng`` is the run's generator or, in
-    an array step whose draws all read tables, the step's ``_Uniforms``.
+    integers and gets a list back.
     """
     scalar = isinstance(infected, list)
     if groups < 2:
         return [int(k == 1) for k in infected] if scalar else infected == 1
-    if _lone_table_fits(groups, eta):
+    if (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS:
         return _invert(_lone_cdf(groups, eta), infected, rng.random(len(infected)))
     slots = np.full(groups, eta)
     method = "marginals" if eta >= MARGINALS_MIN_ETA else "count"
@@ -253,11 +250,6 @@ def _singles_cdf(n: int, tests: int) -> np.ndarray:
     return cdf
 
 
-def _lone_table_fits(groups: int, eta: int) -> bool:
-    """Whether a round of ``groups`` >= 2 groups of ``eta`` draws F from its ``_lone_cdf`` table."""
-    return (groups + 1) * (groups * eta + 1) <= LONE_TABLE_MAX_CELLS
-
-
 def _singles_table_fits(n: int, tests: int) -> bool:
     """Whether ``tests`` singleton tests among n draw from their ``_singles_cdf`` table."""
     return (n + 1) * (tests + 1) <= SINGLES_TABLE_MAX_CELLS
@@ -267,9 +259,8 @@ def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
             uniform: np.ndarray) -> np.ndarray | list[int]:
     """Inverse-CDF draws: per trial, the number of entries of its row at or below its uniform.
 
-    ``uniform`` holds one uniform per row: a sampler's own call over the
-    trials, or a slice of a pooled step's one call (``_detections``). No
-    row decreases and every row ends at exactly 1.0, above any uniform, so
+    ``uniform`` holds one uniform per row, from the sampler's own
+    ``random`` call over its trials. No row decreases and every row ends at exactly 1.0, above any uniform, so
     the entries at or below u are the ones before the first entry above it:
     an array of rows gathers its table rows with ``take`` (~0.5 us against
     ~1.4 us for ``cdf[rows]`` at 42 rows of 31) and takes that entry's index
@@ -282,7 +273,7 @@ def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
 
 
 def _singles(n: int, good: np.ndarray | list[int], tests: int,
-             rng: np.random.Generator | _Uniforms) -> np.ndarray | list[int]:
+             rng: np.random.Generator) -> np.ndarray | list[int]:
     """Positives among ``tests`` singleton tests drawn from all n, per trial of ``good`` infected.
 
     The law is Hypergeom(good, n - good, tests). A pooled round's leftover
@@ -290,10 +281,9 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
     individual tests, whose ``tests`` is the run's capacity, draws from the
     sampler ``run_experiment`` picks once per run, the same way. With no
     tests it finds no one and draws nothing. When the ``_singles_cdf``
-    table fits ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial is
-    inverted through its row, its uniforms drawn from ``rng`` as in
-    ``_lone_groups``; otherwise numpy's sampler runs, once per trial on a
-    list of counts.
+    table fits ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial, from one
+    ``random`` call over its trials, is inverted through its row; otherwise
+    numpy's sampler runs, once per trial on a list of counts.
     """
     if not tests:
         return [0] * len(good) if isinstance(good, list) else np.zeros_like(good)
@@ -373,48 +363,6 @@ def _rounds(cfg: SimConfig, expected: float, pools: np.ndarray | list[int]
     return rounds, slots
 
 
-class _Uniforms:
-    """One call's uniforms, handed out in consecutive slices as calls of ``rng.random`` would be.
-
-    A pooled step whose draws all read tables passes this to
-    ``_lone_groups`` and ``_singles`` in place of its generator
-    (``_detections``); each ``random(size)`` returns the next ``size``
-    uniforms of the call.
-    """
-
-    __slots__ = ("uniform", "used")
-
-    def __init__(self, uniform: np.ndarray) -> None:
-        self.uniform = uniform
-        self.used = 0
-
-    def random(self, size: int) -> np.ndarray:
-        start = self.used
-        self.used += size
-        return self.uniform[start:self.used]
-
-
-def _table_uniforms(n: int, rounds: list[tuple[tuple[int, int, int], np.ndarray]]) -> int | None:
-    """The uniforms a pooled step's ``rounds`` invert through tables, or None when one calls numpy.
-
-    A round of g >= 2 groups takes one per trial for its lone groups, and a
-    round with leftover singleton tests one per trial for its singles, when
-    their tables fit; a round too wide for either table calls a numpy
-    sampler.
-    """
-    uniforms = 0
-    for (eta, groups, leftover), on in rounds:
-        if groups >= 2:
-            if not _lone_table_fits(groups, eta):
-                return None
-            uniforms += on.size
-        if leftover:
-            if not _singles_table_fits(n, leftover):
-                return None
-            uniforms += on.size
-    return uniforms
-
-
 def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Infections one pooled testing round identifies, per trial, from post-spread counts.
@@ -422,45 +370,37 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     ``expected`` is the step's entry of the run's ``round_plan``, a pooling
     estimate; a step at None, a round of individual tests, draws from the
     run's singles sampler in ``run_experiment`` instead. The round draws
-    the step's ``_rounds`` on arrays, one in-group call over every trial
-    first. When every round's draws read a table or draw nothing
-    (``_table_uniforms``), one ``random`` call then takes the step's
-    uniforms, at most two per trial, and ``_lone_groups`` and ``_singles``
-    read them through ``_Uniforms``, each lookup the next slice in
-    ``_rounds``' order: the uniforms and the generator's state after the
-    step are those of one call per lookup. A step with a round that calls a
-    numpy sampler, whose draws fall between the uniforms, hands both the
-    generator, so each table lookup makes its own call.
+    the step's ``_rounds`` on arrays: one in-group call over every trial,
+    then, per round, ``_lone_groups`` and ``_singles`` on the run's
+    generator, each a ``random`` call per table lookup or a numpy sampler
+    call. A round without leftover tests finds no singles and draws nothing.
     """
     susceptible, infected, isolated = counts
     rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
     in_groups = rng.hypergeometric(infected, susceptible, slots)
-    uniforms = _table_uniforms(cfg.n, rounds)
-    # when every draw inverts a table, one call takes the uniforms, in draw order
-    source = rng if uniforms is None else _Uniforms(rng.random(uniforms))
     found = np.zeros(infected.size, dtype=np.int64)
     for (eta, groups, leftover), on in rounds:
-        lone = _lone_groups(in_groups[on], groups, eta, source)
-        # a round without leftover tests finds no singles and draws nothing
-        found[on] = (lone + _singles(cfg.n, infected[on] - lone, leftover, source)
-                     if leftover else lone)
+        lone = _lone_groups(in_groups[on], groups, eta, rng)
+        found[on] = lone + _singles(cfg.n, infected[on] - lone, leftover, rng) if leftover else lone
     return found
 
 
 def _scalar_step(cfg: SimConfig, expected: float | None,
                  counts: tuple[list[int], list[int], list[int]], log_miss: float,
-                 spread: np.ndarray | None, singles: np.ndarray | None,
+                 spread: np.ndarray, singles: np.ndarray | None,
                  rng: np.random.Generator) -> tuple[list[int], list[int], list[int]]:
     """One step of the live trials' S, I and R ``counts`` on Python integers, in place.
 
     The S, I and R lists it is given are updated in place and ``counts`` is
     returned. It makes the array step's draws (in ``run_experiment``) in
     the same order, one trial at a time: the spread, Binomial(S, p) per
-    trial, with p = ``spread[I]`` from the phase's ``_spread_table``, or,
-    when there is no table or some live I is past its end, from numpy's
-    ``-expm1(I * log(1 - q))`` over the live I, the value the table holds
-    and the array step computes (``math.expm1`` differs from numpy's in
-    the last bit at some arguments), then the round. At an ``expected`` of
+    trial, with p = ``spread[I]`` from the phase's ``_spread_table``, which
+    ``run_experiment`` always hands it (the array phase's table of I in
+    0..n, or one built to fit the cap), or, when some live I is past the
+    table's end, from numpy's ``-expm1(I * log(1 - q))`` over the live I,
+    the value the table holds and the array step computes (``math.expm1``
+    differs from numpy's in the last bit at some arguments), then the
+    round. At an ``expected`` of
     None, a round of individual tests, each trial's positives come from
     the run's singles sampler, ``singles``: bisection of the trial's row
     of that ``_singles_cdf`` table at one uniform from one call over the
@@ -474,7 +414,7 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     step's; only the array calls' fixed cost is gone.
     """
     susceptible, infected, isolated = counts
-    if spread is None or max(infected) >= len(spread):
+    if max(infected) >= len(spread):
         # keyed by I, so the loop reads it as it reads the table; a Python
         # float product rounds as numpy's int64-by-float64 one does
         spread = dict(zip(infected, [-grow for grow in
@@ -581,9 +521,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     3*``AGGREGATE_BLOCK_CELLS`` of them, 0.8 MiB), plus one spread table
     of at most n+1 float64, at most 1 MiB, plus
     a per-step transient of about trials*(capacity+1) float64 when the
-    singleton draws use a ``_singles_cdf`` table, and, in a pooled step
-    whose draws all read tables, its one array of uniforms, at most
-    2*trials float64, and, in a pooled round,
+    singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
     trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
     for the table, one trial's g group counts at a time and, below
     ``MARGINALS_MIN_ETA``, about 8*g*eta bytes of numpy's C scratch per

@@ -313,48 +313,9 @@ class TestPooledRounds:
         found = _detections(cfg, 100.0, counts, rng)
         assert np.all((0 <= found) & (found <= counts[1]))
         assert not found[counts[1] == 0].any()
-        # one call of uniforms serves every table read of the step
-        assert rng.calls == {"hypergeometric": 1, "random": 1}
-
-    @staticmethod
-    def per_round(cfg, expected, counts, rng):
-        """``_detections``' draws round by round, each table read with its own call of uniforms."""
-        susceptible, infected, isolated = counts
-        rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
-        in_groups = rng.hypergeometric(infected, susceptible, slots)
-        found = np.zeros_like(infected)
-        for (eta, groups, leftover), on in rounds:
-            lone = harness._lone_groups(in_groups[on], groups, eta, rng)
-            found[on] = lone + harness._singles(cfg.n, infected[on] - lone, leftover, rng)
-        return found
-
-    def test_uniforms_serve_one_call_as_consecutive_calls(self):
-        # one call of 2 + 3 + 0 + 4 doubles, served in slices, gives four calls' doubles
-        source = harness._Uniforms(np.random.default_rng(5).random(9))
-        reference = np.random.default_rng(5)
-        for size in (2, 3, 0, 4):
-            assert np.array_equal(source.random(size), reference.random(size))
-
-    @pytest.mark.parametrize("copies", [1, 2, 7])
-    def test_one_call_of_uniforms_draws_as_each_round_would(self, copies):
-        # the table-sized rounds at an estimate of 100, and at an estimate of
-        # 2 pools of 1000, 100, 40 and 3: one group of 500 and 12 leftover
-        # tests, two groups of 50 or 20 with 6 or 10, and a fallback to 30
-        # singles
-        cfg, table_sized = self.table_sized_round(copies)
-        pools = np.repeat([1000, 100, 40, 3], 3 * copies)
-        layouts = {saffron_layout(pool, 2.0, cfg.capacity) for pool in pools.tolist()}
-        assert layouts == {(500, 1, 12), (50, 2, 6), (20, 2, 10), (0, 0, 30)}
-        for seed in range(4):
-            infected = np.random.default_rng(seed).integers(0, np.minimum(pools, 6) + 1)
-            states = [(100.0, table_sized),
-                      (2.0, np.stack([pools - infected, infected, cfg.n - pools]))]
-            for expected, counts in states:
-                rng, reference = CountingGenerator(seed), np.random.default_rng(seed)
-                found = _detections(cfg, expected, counts, rng)
-                assert rng.calls == {"hypergeometric": 1, "random": 1}
-                assert np.array_equal(found, self.per_round(cfg, expected, counts, reference))
-                assert rng.rng.bit_generator.state == reference.bit_generator.state
+        # one call of uniforms per table read: lone groups for each of the
+        # three layouts, singles only for the one with leftover tests
+        assert rng.calls == {"hypergeometric": 1, "random": 4}
 
     def test_scalar_step_draws_per_trial(self):
         # one binomial and one in-group hypergeometric per trial, then one
@@ -665,6 +626,16 @@ class TestSpreadTable:
                             lambda *args: built.append(builder(*args)) or built[-1])
         return run_experiment(cfg), built
 
+    @staticmethod
+    def per_step(cfg):
+        """A ``_spread_table`` stand-in under which every step computes its probabilities.
+
+        The array phase's call gets None, and the scalar phase's an empty
+        table, whose end every live I passes.
+        """
+        array_phase = iter([None] if cfg.trials > harness.SCALAR_STEP_MAX else [])
+        return lambda *args: next(array_phase, np.empty(0))
+
     @pytest.mark.parametrize("q", QS, ids=QS_IDS)
     def test_entries_are_the_per_step_expression(self, q):
         with warnings.catch_warnings():
@@ -680,16 +651,16 @@ class TestSpreadTable:
     @pytest.mark.parametrize("trials", [1, 2, SCALAR_STEP_MAX, 40])
     def test_table_path_matches_the_per_step_path(self, monkeypatch, policy, q, trials):
         # up to SCALAR_STEP_MAX trials every step after step 0 is a scalar
-        # step, which reads its phase's table per live trial or, without
-        # one, calls np.expm1; at q = 1 the live I pass that table's end
+        # step, which reads its phase's table per live trial or, past the
+        # table's end, calls np.expm1; at q = 1 the live I pass that end
         cfg = SimConfig(n=1000, capacity=30, q=q, horizon=150, trials=trials, seed=3,
                         policy=policy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tabled, built = self.run_counting(monkeypatch, cfg)
-            per_step, forced = self.run_counting(monkeypatch, cfg, lambda *args: None)
+            per_step, forced = self.run_counting(monkeypatch, cfg, self.per_step(cfg))
         assert len(built) == 1 and built[0].shape[0] <= cfg.n + 1
-        assert forced and all(table is None for table in forced)
+        assert forced and all(table is None or not table.size for table in forced)
         if trials > SCALAR_STEP_MAX:
             assert built[0].shape == (cfg.n + 1,)
             # more than SCALAR_STEP_MAX trials are live after step 1, so step 2 is an array
@@ -744,7 +715,7 @@ class TestSpreadTable:
         # without a table does
         cfg = SimConfig(n=1000, capacity=30, q=0.5, horizon=20, trials=1, seed=4)
         tabled, built = self.run_counting(monkeypatch, cfg)
-        per_step, _ = self.run_counting(monkeypatch, cfg, lambda *args: None)
+        per_step, _ = self.run_counting(monkeypatch, cfg, self.per_step(cfg))
         assert built[0].shape[0] - 1 < tabled.mean_infected.max()
         assert_same_arrays(tabled, per_step)
 

@@ -93,6 +93,7 @@ def scalar_rounds(monkeypatch, cfg):
     Also each leftover singles draw's tests. A step's individual round is
     None for a pooled step, and otherwise the run's singles sampler (its
     table, or None for numpy's) with the generator methods the step called.
+    Every scalar step must receive a float64 spread table.
     """
     rounds, individual, tests = [], [], []
     step, lone, singles = harness._scalar_step, harness._lone_groups, harness._singles
@@ -101,6 +102,8 @@ def scalar_rounds(monkeypatch, cfg):
         # each step takes the previous one's lists, which must hold Python
         # integers: a numpy scalar would slow every later step's arithmetic
         assert all(type(c) is list and all(type(x) is int for x in c) for c in counts)
+        # the run always hands the phase a spread table
+        assert type(spread) is np.ndarray and spread.dtype == np.float64
         rounds.append([])
         # default_rng hands a Generator back as it is, so this counts rng's calls
         counting = CountingGenerator(rng)

@@ -199,15 +199,15 @@ def _lone_groups(infected: np.ndarray | list[int], groups: int, eta: int,
     group is lone when K = 1, and a round of no groups, where the planner
     fell back, holds K = 0. A round whose ``_lone_cdf`` table fits
     ``LONE_TABLE_MAX_CELLS`` inverts one uniform per trial, from one
-    ``random`` call over its trials, through the table's row. In a wider round the groups' member counts follow the
-    multivariate hypergeometric law of K draws from ``groups`` colours of
-    ``eta`` each; numpy draws one such vector per trial, holding one trial's
-    counts at a time, with the method that is faster at this eta
-    (``MARGINALS_MIN_ETA``). Below that eta the "count" method also
-    allocates about 8 * groups * eta bytes of C scratch per call, which
-    tracemalloc does not see. The array step passes an int64 array and gets
-    one back; the scalar step (``_scalar_step``) passes a list of Python
-    integers and gets a list back.
+    ``random`` call over its trials, through the table's row. In a wider
+    round the groups' member counts follow the multivariate hypergeometric
+    law of K draws from ``groups`` colours of ``eta`` each; numpy draws one
+    such vector per trial, holding one trial's counts at a time, with the
+    method that is faster at this eta (``MARGINALS_MIN_ETA``). Below that
+    eta the "count" method also allocates about 8 * groups * eta bytes of C
+    scratch per call, which tracemalloc does not see. The array step passes
+    an int64 array and gets one back; the scalar step (``_scalar_step``)
+    passes a list of Python integers and gets a list back.
     """
     scalar = isinstance(infected, list)
     if groups < 2:
@@ -260,12 +260,13 @@ def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
     """Inverse-CDF draws: per trial, the number of entries of its row at or below its uniform.
 
     ``uniform`` holds one uniform per row, from the sampler's own
-    ``random`` call over its trials. No row decreases and every row ends at exactly 1.0, above any uniform, so
-    the entries at or below u are the ones before the first entry above it:
-    an array of rows gathers its table rows with ``take`` (~0.5 us against
-    ~1.4 us for ``cdf[rows]`` at 42 rows of 31) and takes that entry's index
-    (``argmax`` of the comparison, which stops at the first True), and a
-    list of rows finds it by bisection.
+    ``random`` call over its trials. No row decreases and every row ends at
+    exactly 1.0, above any uniform, so the entries at or below u are the
+    ones before the first entry above it: an array of rows gathers its
+    table rows with ``take`` (~0.5 us against ~1.4 us for ``cdf[rows]`` at
+    42 rows of 31) and takes that entry's index (``argmax`` of the
+    comparison, which stops at the first True), and a list of rows finds it
+    by bisection.
     """
     if isinstance(rows, list):
         return [bisect.bisect_right(cdf[k], u) for k, u in zip(rows, uniform.tolist())]
@@ -373,7 +374,8 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     the step's ``_rounds`` on arrays: one in-group call over every trial,
     then, per round, ``_lone_groups`` and ``_singles`` on the run's
     generator, each a ``random`` call per table lookup or a numpy sampler
-    call. A round without leftover tests finds no singles and draws nothing.
+    call. A round without leftover tests skips its ``_singles`` call, which
+    would find no one and draw nothing.
     """
     susceptible, infected, isolated = counts
     rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
@@ -400,14 +402,14 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     table's end, from numpy's ``-expm1(I * log(1 - q))`` over the live I,
     the value the table holds and the array step computes (``math.expm1``
     differs from numpy's in the last bit at some arguments), then the
-    round. At an ``expected`` of
-    None, a round of individual tests, each trial's positives come from
-    the run's singles sampler, ``singles``: bisection of the trial's row
-    of that ``_singles_cdf`` table at one uniform from one call over the
-    trials or, without a table, numpy's hypergeometric, and move from I to
-    R in the same loop. A pooled round makes ``_detections``' draws in
-    ``_rounds``' order, on lists, and skips an in-group draw without
-    slots, as that zero-sample draw consumes nothing.
+    round. At an ``expected`` of None, a round of individual tests, each
+    trial's positives come from the run's singles sampler, ``singles``:
+    bisection of the trial's row of that ``_singles_cdf`` table at one
+    uniform from one call over the trials or, without a table, numpy's
+    hypergeometric, and move from I to R in the same loop. A pooled round
+    makes ``_detections``' draws in ``_rounds``' order, on lists, and skips
+    an in-group draw without slots, as that zero-sample draw consumes
+    nothing.
 
     numpy's array samplers run the same C routine element by element, so
     the counts and the generator's state after the step equal the array

@@ -68,9 +68,8 @@ def detections_law(n: int, layout: tuple[int, int, int], susceptible: int,
                / math.comb(susceptible + infected, slots))
         for f, ways in enumerate(lone[k].tolist()):
             if ways:
-                p_f = p_k * ways / math.comb(slots, k)
-                law[f:f + leftover + 1] += p_f * exact_pmf(n, leftover, infected - f)[
-                    :infected - f + 1]
+                singles = exact_pmf(n, leftover, infected - f)[:infected - f + 1]
+                law[f:f + singles.size] += p_k * ways / math.comb(slots, k) * singles
     return law
 
 

@@ -15,15 +15,14 @@ A pooled step draws each trial's infected in its groups, then F, the
 groups holding exactly one infected (``_lone_groups``), and the positives
 among the leftover singletons (``_singles``), in the order ``_rounds``
 states. A step at None draws each trial's positives among the capacity's
-singletons from the one sampler its run picks. Each sampler serves one
-shape. It inverts one uniform per trial through a cached CDF table of its
-law (inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
+singletons through ``_singles`` too. Each sampler serves one shape. It
+inverts one uniform per trial through a cached CDF table of its law
+(inverse CDF; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 III.2) when the table fits its cap, and otherwise calls numpy's sampler:
 the multivariate hypergeometric one per trial for F, the hypergeometric
 one for the singles. Each table lookup draws its own uniforms, one
-``random`` call over its trials, so a pooled step makes one call per
-lookup, as the scalar step does. Table rows are gathered with ``take``,
-about three times faster than fancy indexing on a 2-D table.
+``random`` call over its trials, in both steps. An array step gathers
+table rows with ``take``.
 
 Late in a run, or in a run of few trials, those array calls' fixed cost
 outweighs their work. A cleared trial never comes back, so from the first
@@ -73,27 +72,22 @@ LONE_TABLE_MAX_CELLS = 2 ** 11
 
 # A round too wide for a table draws with numpy's "marginals" method, one
 # univariate hypergeometric per group, from this eta up, and below it with
-# "count", a partial shuffle of all g*eta slots (``_lone_groups``). On one
-# CPU, "count" took ~20 us against ~90 us at (K, g, eta) = (600, 500, 8); the
-# two tied near eta = 40 at g = 250 and near eta = 53 at g = 2,500. Replaying
-# the wide rounds of real runs at n = 10^5 and 10^6, every threshold from 37
-# to 57 came within ~8%.
+# "count", a partial shuffle of all g*eta slots (``_lone_groups``). "count"
+# does O(g*eta) work and "marginals" O(g) at a higher cost per group, so the
+# threshold sits where the two cross on the wide rounds of real runs; its
+# last timing is CHANGES.md's entry "Wide pooled rounds draw each trial's
+# group counts from numpy's multivariate hypergeometric".
 MARGINALS_MIN_ETA = 41
 
 # From the first step with at most this many live trials, every step of the
 # run runs on Python integers (``_scalar_step``), with the array step's
-# draws: live trials never rise, so once scalar, always scalar. Timed on one
-# pinned CPU over steps recorded at n = 1000 (T = 30) and n = 10^5
-# (T = 3000), the first k live trials of 20-trial runs, two passes, the
-# scalar step's cost relative to the array step's grew with k. It first
-# reached 1 for individual testing at n = 1000, whose array step reads the
-# singles table and costs ~14 us: 0.20-0.21 at 1 trial, 0.89 at 8, 1.04-1.07
-# at 10 and 1.13-1.15 at 11. At 11 it was 0.77-0.78 for pooled steps at
-# n = 1000 (~63 us on arrays), and 0.61 and 0.92 for individual and pooled
-# steps at n = 10^5, and all three stayed at or below 1 through 16 (0.99-1.00,
-# 0.83-0.85 and 0.97-0.98). So the value stays where those three save 14-19
-# us a step and the fourth pays ~2 us; at 9, 10, 11 and 12 both reference
-# workloads ran within 1% of each other.
+# draws: live trials never rise, so once scalar, always scalar. It trades
+# the array calls' fixed cost per step against the scalar step's cost per
+# live trial, which grows with the live trials; the value sits just past
+# where the cheapest array step, individual testing at n = 1000 through the
+# singles table, starts to beat the scalar one, while pooled steps and both
+# policies at n = 10^5 still gain. Its last timing is item (4) of
+# CHANGES.md's entry "one uniform call per table-only pooled array step".
 SCALAR_STEP_MAX = 11
 
 # ``run_experiment`` copies each step's counts into a (3, block, trials) int64
@@ -230,8 +224,8 @@ def _singles_cdf(n: int, tests: int) -> np.ndarray:
     exactly 0.0 below its floor, max(0, tests - (n - good)), and, divided
     by its last entry, exactly 1.0 from its top, min(good, tests):
     rounding cannot draw a count outside the support. A run reads the
-    capacity's table and, under the hybrid, one per distinct leftover (six at
-    n=1000, capacity 30). The cache holds at most 16 tables of at most
+    capacity's table for its individual rounds and, under the hybrid, one
+    per distinct leftover. The cache holds at most 16 tables of at most
     ``SINGLES_TABLE_MAX_CELLS`` cells, 16 MiB in the worst case. The table is
     read-only because the cache hands the same array to every caller.
     """
@@ -250,11 +244,6 @@ def _singles_cdf(n: int, tests: int) -> np.ndarray:
     return cdf
 
 
-def _singles_table_fits(n: int, tests: int) -> bool:
-    """Whether ``tests`` singleton tests among n draw from their ``_singles_cdf`` table."""
-    return (n + 1) * (tests + 1) <= SINGLES_TABLE_MAX_CELLS
-
-
 def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
             uniform: np.ndarray) -> np.ndarray | list[int]:
     """Inverse-CDF draws: per trial, the number of entries of its row at or below its uniform.
@@ -263,8 +252,7 @@ def _invert(cdf: np.ndarray, rows: np.ndarray | list[int],
     ``random`` call over its trials. No row decreases and every row ends at
     exactly 1.0, above any uniform, so the entries at or below u are the
     ones before the first entry above it: an array of rows gathers its
-    table rows with ``take`` (~0.5 us against ~1.4 us for ``cdf[rows]`` at
-    42 rows of 31) and takes that entry's index (``argmax`` of the
+    table rows with ``take`` and takes that entry's index (``argmax`` of the
     comparison, which stops at the first True), and a list of rows finds it
     by bisection.
     """
@@ -277,18 +265,20 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
              rng: np.random.Generator) -> np.ndarray | list[int]:
     """Positives among ``tests`` singleton tests drawn from all n, per trial of ``good`` infected.
 
-    The law is Hypergeom(good, n - good, tests). A pooled round's leftover
-    tests draw here, so ``tests`` changes from round to round; a round of
-    individual tests, whose ``tests`` is the run's capacity, draws from the
-    sampler ``run_experiment`` picks once per run, the same way. With no
-    tests it finds no one and draws nothing. When the ``_singles_cdf``
-    table fits ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial, from one
-    ``random`` call over its trials, is inverted through its row; otherwise
-    numpy's sampler runs, once per trial on a list of counts.
+    The law is Hypergeom(good, n - good, tests). Every singleton draw of
+    both steps comes here: a pooled round's leftover tests, whose count
+    changes from round to round, and a round of individual tests, whose
+    ``tests`` is the run's capacity. With no tests it finds no one and
+    draws nothing. When the (n+1)*(tests+1) cells of the ``_singles_cdf``
+    table fit ``SINGLES_TABLE_MAX_CELLS``, one uniform per trial, from one
+    ``random`` call over its trials, is inverted through its row
+    (``_invert``); otherwise numpy's hypergeometric sampler runs, in one
+    call on an array of counts and once per trial on a list. An array of
+    counts gives an int64 array, and a list of Python integers a list.
     """
     if not tests:
         return [0] * len(good) if isinstance(good, list) else np.zeros_like(good)
-    if _singles_table_fits(n, tests):
+    if (n + 1) * (tests + 1) <= SINGLES_TABLE_MAX_CELLS:
         return _invert(_singles_cdf(n, tests), good, rng.random(len(good)))
     if isinstance(good, list):
         return [rng.hypergeometric(k, n - k, tests) for k in good]
@@ -369,13 +359,12 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
     """Infections one pooled testing round identifies, per trial, from post-spread counts.
 
     ``expected`` is the step's entry of the run's ``round_plan``, a pooling
-    estimate; a step at None, a round of individual tests, draws from the
-    run's singles sampler in ``run_experiment`` instead. The round draws
-    the step's ``_rounds`` on arrays: one in-group call over every trial,
-    then, per round, ``_lone_groups`` and ``_singles`` on the run's
-    generator, each a ``random`` call per table lookup or a numpy sampler
-    call. A round without leftover tests skips its ``_singles`` call, which
-    would find no one and draw nothing.
+    estimate; a step at None, a round of individual tests, calls
+    ``_singles`` with the capacity in ``run_experiment`` instead. The round
+    draws the step's ``_rounds`` on arrays: one in-group call over every
+    trial, then, per round, ``_lone_groups`` and ``_singles`` on the run's
+    generator. A round without leftover tests skips its ``_singles`` call,
+    which would find no one and draw nothing.
     """
     susceptible, infected, isolated = counts
     rounds, slots = _rounds(cfg, expected, cfg.n - isolated)
@@ -389,8 +378,8 @@ def _detections(cfg: SimConfig, expected: float, counts: np.ndarray,
 
 def _scalar_step(cfg: SimConfig, expected: float | None,
                  counts: tuple[list[int], list[int], list[int]], log_miss: float,
-                 spread: np.ndarray, singles: np.ndarray | None,
-                 rng: np.random.Generator) -> tuple[list[int], list[int], list[int]]:
+                 spread: np.ndarray, rng: np.random.Generator
+                 ) -> tuple[list[int], list[int], list[int]]:
     """One step of the live trials' S, I and R ``counts`` on Python integers, in place.
 
     The S, I and R lists it is given are updated in place and ``counts`` is
@@ -402,14 +391,12 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     table's end, from numpy's ``-expm1(I * log(1 - q))`` over the live I,
     the value the table holds and the array step computes (``math.expm1``
     differs from numpy's in the last bit at some arguments), then the
-    round. At an ``expected`` of None, a round of individual tests, each
-    trial's positives come from the run's singles sampler, ``singles``:
-    bisection of the trial's row of that ``_singles_cdf`` table at one
-    uniform from one call over the trials or, without a table, numpy's
-    hypergeometric, and move from I to R in the same loop. A pooled round
-    makes ``_detections``' draws in ``_rounds``' order, on lists, and skips
-    an in-group draw without slots, as that zero-sample draw consumes
-    nothing.
+    round. At an ``expected`` of None, a round of individual tests, one
+    ``_singles`` call on the I list draws every trial's positives among the
+    capacity's singletons, as the array step's call does, and one loop moves
+    them from I to R. A pooled round makes ``_detections``' draws in
+    ``_rounds``' order, on lists, and skips an in-group draw without slots,
+    as that zero-sample draw consumes nothing.
 
     numpy's array samplers run the same C routine element by element, so
     the counts and the generator's state after the step equal the array
@@ -426,16 +413,9 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
         susceptible[j] -= new
         infected[j] = i + new
     if expected is None:
-        if singles is None:
-            for j, i in enumerate(infected):
-                found = rng.hypergeometric(i, cfg.n - i, cfg.capacity)
-                infected[j] = i - found
-                isolated[j] += found
-        else:
-            for j, u in enumerate(rng.random(len(infected)).tolist()):
-                found = bisect.bisect_right(singles[infected[j]], u)
-                infected[j] -= found
-                isolated[j] += found
+        for j, found in enumerate(_singles(cfg.n, infected, cfg.capacity, rng)):
+            infected[j] -= found
+            isolated[j] += found
         return counts
     rounds, slots = _rounds(cfg, expected, [cfg.n - r for r in isolated])
     in_groups = [rng.hypergeometric(i, s, k) if k else 0
@@ -485,67 +465,54 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
 
     Deterministic for a fixed config: one generator seeded with cfg.seed
     draws every trial's steps together, so a trial's path also depends on
-    cfg.trials. Each step, for the trials still holding infections, spread
-    is Binomial(S, 1-(1-q)^I), then the round at the step's entry of the
-    run's ``round_plan``. A pooled round's detections come from
-    ``_detections``. A round of individual tests (an entry of None) finds
-    Hypergeom(I, n-I, capacity) positives per trial, from a sampler the run
-    picks once, when its plan holds such a round: the ``_singles_cdf``
-    table of (n, capacity) when it fits ``SINGLES_TABLE_MAX_CELLS``, read
-    by inverting one uniform per trial through the trial's row (``_invert``'s
-    lookup, rows gathered with ``take``, in an array step, bisection in a
-    scalar one), and numpy's hypergeometric otherwise. A run of more than ``SCALAR_STEP_MAX``
-    trials, which takes array steps, builds
-    the probability's table for every I in 0..n once (``_spread_table``)
-    when its n+1 float64 fit ``SINGLES_TABLE_MAX_CELLS`` (1 MiB), and each
-    array step gathers from it by fancy indexing, which beats ``take`` on
-    one axis; a larger population computes
-    -expm1(I*log(1-q)) per step. The scalar phase reads that table too or,
-    where there is none, builds one for I in 0..min(n, 2*max I) from its
-    first live counts, capped the same way; a step whose live I passes the
-    table's end computes the probability itself. The initial infected count
-    is Binomial(n, p). Counts are recorded after the testing phase of each
-    step (step 0 is the freshly drawn population). A
-    trial with no circulating infections never changes again, so it stops
-    drawing, and once every trial has, the remaining steps are filled. Each
-    step's counts of all trials wait in a (3, block,
-    trials) buffer, and a full block, or the steps held when the run ends,
-    is aggregated at once (``_aggregate``); block is min(horizon + 1, max(1,
-    ``AGGREGATE_BLOCK_CELLS`` // trials)). Variances are summed about each
-    step's floor(mean), from deviations that are exact integers, so trials
-    that all hold one count give exactly 0 at any n, and the sums do not
-    depend on the block length while they stay below 2^53. Memory is
-    O(trials + horizon), plus the buffer and its float64 deviations,
-    together at most 1.5 MiB or, past 2^15 trials, 48 bytes per trial, plus
+    cfg.trials. The initial infected counts are Binomial(n, p). Each step,
+    for the trials still holding infections, draws the spread,
+    Binomial(S, 1-(1-q)^I) per trial, then the round at the step's entry of
+    the run's ``round_plan``: a pooled round's detections (``_detections``)
+    or, at None, a round of individual tests, whose Hypergeom(I, n-I,
+    capacity) positives come from ``_singles``. The spread probability is
+    read from a table of -expm1(I*log(1-q)) (``_spread_table``): one for
+    every I in 0..n built once by a run that takes array steps, else one
+    the scalar phase builds for I up to twice its first largest I. Where
+    no table fits ``SINGLES_TABLE_MAX_CELLS`` or a live I passes the
+    table's end, the step computes the same float64 itself. Counts are
+    recorded after the testing phase of each step (step 0 is the freshly
+    drawn population). A trial with no circulating infections never
+    changes again, so it stops drawing, and once every trial has, the
+    remaining steps are filled.
+
+    Each step's counts wait in a (3, block, trials) buffer, block being
+    min(horizon + 1, max(1, ``AGGREGATE_BLOCK_CELLS`` // trials)), and a
+    full block, or the steps held when the run ends, is aggregated at once
+    (``_aggregate``). Variances are summed about each step's floor(mean),
+    from deviations that are exact integers, so trials that all hold one
+    count give exactly 0 at any n, and the sums do not depend on the block
+    length while they stay below 2^53.
+
+    Memory is O(trials + horizon) plus: the buffer and its float64
+    deviations, at most 1.5 MiB or, past 2^15 trials, 48 bytes per trial;
     the scalar phase's pending rows, at most block*3*``SCALAR_STEP_MAX``
-    integers of 8 bytes each in one ``array('q')``, which over-allocates at
-    most 1/16 of them plus 7 (0.13 MiB at horizon 500, and never more than
-    3*``AGGREGATE_BLOCK_CELLS`` of them, 0.8 MiB), plus one spread table
-    of at most n+1 float64, at most 1 MiB, plus
-    a per-step transient of about trials*(capacity+1) float64 when the
-    singleton draws use a ``_singles_cdf`` table, and, in a pooled round,
-    trials*(g+1) float64 for a ``_lone_cdf`` lookup or, in a round too wide
-    for the table, one trial's g group counts at a time and, below
-    ``MARGINALS_MIN_ETA``, about 8*g*eta bytes of numpy's C scratch per
-    draw (``_lone_groups``). The cached tables add at most 16 MiB of
-    singles tables and 4 MiB of lone-group tables.
+    8-byte integers in one ``array('q')`` and its over-allocation, under
+    0.8 MiB; one spread table of at most 1 MiB; per step, about
+    trials*(capacity+1) float64 for a singles table lookup and trials*(g+1)
+    for a lone-group one, or, in a round too wide for a table, one trial's
+    g group counts at a time and, below ``MARGINALS_MIN_ETA``, about
+    8*g*eta bytes of numpy's C scratch per draw (``_lone_groups``); and the
+    cached tables, at most 16 MiB of singles tables and 4 MiB of lone-group
+    tables.
 
     The run has two phases. Array steps run while more than
     ``SCALAR_STEP_MAX`` trials are live, on S, I and R views of the live
-    trials' columns, bound once and rebound when ``_clear`` changes how
-    many are live. Live trials never rise, so from the
-    first step at or below the constant to the end of the run, one scalar
-    phase runs: it reads the live counts into S, I and R lists once, and
-    each step (``_scalar_step``) makes the array step's draws in the same
-    order, one trial at a time, on those lists, reading the spread
-    probability from the phase's table, whose entries are the values the
-    array step computes. The phase holds the steps'
-    live counts as pending rows and copies them into the buffer only when
-    a block fills, a trial clears or the run ends; the cleared trials'
-    columns come from their frozen counts. Both phases retire cleared
-    trials through ``_clear``. The scalar step's counts and the
-    generator's state after it equal the array step's, so every output is
-    bit-identical to a run of array steps alone, whatever the constant.
+    trials' columns, rebound when ``_clear`` changes how many are live.
+    Live trials never rise, so from the first step at or below the constant
+    to the end of the run, one scalar phase steps S, I and R lists
+    (``_scalar_step``). It holds the steps' live counts as pending rows and
+    copies them into the buffer only when a block fills, a trial clears or
+    the run ends; the cleared trials' columns come from their frozen
+    counts. Both phases retire cleared trials through ``_clear``. The
+    scalar step's counts and the generator's state after it equal the
+    array step's, so every output is bit-identical to a run of array steps
+    alone, whatever the constant.
     """
     curve = mean_trajectory(TheoryParams.from_config(cfg), cfg.policy, cfg.horizon)
     rng = np.random.default_rng(cfg.seed)
@@ -553,8 +520,6 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     plan = round_plan(curve, cfg.policy)
     # a run of few trials takes array step 0 alone, which draws nothing
     spread = _spread_table(cfg.n, log_miss) if cfg.trials > SCALAR_STEP_MAX else None
-    singles = (_singles_cdf(cfg.n, cfg.capacity) if None in plan
-               and _singles_table_fits(cfg.n, cfg.capacity) else None)
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
@@ -587,14 +552,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
                                else spread[infected])
             susceptible -= new
             infected += new
-            if plan[t] is not None:
-                found = _detections(cfg, plan[t], counts, rng)
-            elif singles is None:
-                found = rng.hypergeometric(infected, cfg.n - infected, cfg.capacity)
-            else:
-                # ``_invert``'s lookup, on the run's table
-                found = (singles.take(infected, axis=0)
-                         > rng.random(live)[:, np.newaxis]).argmax(axis=1)
+            found = (_singles(cfg.n, infected, cfg.capacity, rng) if plan[t] is None
+                     else _detections(cfg, plan[t], counts, rng))
             infected -= found
             isolated += found
         buffer[:, t - start] = latest
@@ -606,8 +565,9 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     counts = counts.tolist()
     if spread is None and live and t < steps:
         # a run of few trials, or past the cap: a table up to twice the
-        # largest live I takes ~0.13 ms at I = 20,000 and saves ~1 us of
-        # np.expm1 call per step, so it pays for itself within ~150 steps
+        # largest live I trades one build for an np.expm1 call per step; its
+        # last timing is CHANGES.md's entry "the scalar phase reads a
+        # per-run spread table"
         spread = _spread_table(min(cfg.n, 2 * max(counts[1]), SINGLES_TABLE_MAX_CELLS - 1),
                                log_miss)
     # the live S, I and R of steps first..t, one step after another, until
@@ -617,7 +577,7 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
         if t - start == block:
             _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
             start = t
-        counts = _scalar_step(cfg, plan[t], counts, log_miss, spread, singles, rng)
+        counts = _scalar_step(cfg, plan[t], counts, log_miss, spread, rng)
         susceptible, infected, isolated = counts
         rows.fromlist(susceptible + infected + isolated)
         cleared_any = 0 in infected

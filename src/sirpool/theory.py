@@ -133,11 +133,10 @@ def saffron_expected_detections(n: int, capacity: int, isolated: float,
 
     The group count is real-valued, while ``saffron_layout`` packs
     min(floor(T / (2*ceil(log2 eta))), pool // eta) whole groups of the
-    integer size. Over the 176 pooled steps of the reference hybrid
-    recursion (n=1000, T=30, p=0.2, q=1e-5) this formula counts a median
-    1.21x the planner's groups (0.92x to 2.14x, 15 steps below 1x), so the
-    recursion, and the planner's estimate read from it, falls faster than
-    the simulated count.
+    integer size. Where the formula counts more groups than the planner
+    packs, the recursion, and the planner's estimate read from it, falls
+    faster than the simulated count; CHANGES.md's FOUND line on this
+    formula gives the measured gap at the reference parameters.
     """
     if expected_infected < 1.0:
         raise ValueError(

@@ -325,8 +325,7 @@ class TestPooledRounds:
         log_miss = math.log1p(-cfg.q)
         rng = CountingGenerator(3)
         spread = harness._spread_table(cfg.n, log_miss)
-        stepped = np.array(_scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, None,
-                                         rng))
+        stepped = np.array(_scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, rng))
         assert rng.calls == {"binomial": 6, "hypergeometric": 6, "random": 4}
         found = stepped[2] - counts[2]
         assert np.array_equal(stepped.sum(axis=0), counts.sum(axis=0))
@@ -337,7 +336,7 @@ class TestPooledRounds:
         # and reads the capacity's singles table
         counts = np.hstack([counts, [[100], [50], [850]]])
         rng = CountingGenerator(3)
-        _scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, None, rng)
+        _scalar_step(cfg, 100.0, counts.tolist(), log_miss, spread, rng)
         assert rng.calls == {"binomial": 7, "hypergeometric": 6, "random": 5}
 
     def test_mixed_layout_round(self):
@@ -705,7 +704,6 @@ class TestSpreadTable:
         for table, spread in [(zeros, False), (zeros[:20], True)]:
             counts = ([40, 40], [20, 10], [0, 10])
             susceptible, _, _ = _scalar_step(cfg, None, counts, log_miss(cfg.q), table,
-                                             _singles_cdf(cfg.n, cfg.capacity),
                                              np.random.default_rng(1))
             assert (susceptible != [40, 40]) is spread
 

@@ -7,8 +7,9 @@ the constant to 0 runs every step on arrays, and setting it to the trial
 count runs every step after step 0 in the scalar phase; every
 ``TrajectoryStats`` array must be the same either way, and the same as at
 the default constant, where a run crosses from one phase to the other as
-its trials clear. Each individual-testing round draws from the one singles
-sampler its run picks, a table or numpy's hypergeometric, in both phases.
+its trials clear. Each individual-testing round draws its positives through
+``_singles``, as every pooled round's leftover singletons do, from a table or
+numpy's hypergeometric, in both phases.
 """
 
 import numpy as np
@@ -88,34 +89,36 @@ def run(monkeypatch, cfg, threshold):
 
 
 def scalar_rounds(monkeypatch, cfg):
-    """The all-scalar run and, per step, its (groups, eta) per layout and its individual round.
+    """The all-scalar run and, per step, its (groups, eta) per layout, its singles and its calls.
 
-    Also each leftover singles draw's tests. A step's individual round is
-    None for a pooled step, and otherwise the run's singles sampler (its
-    table, or None for numpy's) with the generator methods the step called.
-    Every scalar step must receive a float64 spread table.
+    A step's singles are the ``tests`` of each ``_singles`` call it made. Its
+    calls are None for a pooled step, and otherwise its live trials with the
+    generator's call count per method. Every scalar step must receive a
+    float64 spread table.
     """
     rounds, individual, tests = [], [], []
     step, lone, singles = harness._scalar_step, harness._lone_groups, harness._singles
 
-    def counted_step(cfg, expected, counts, log_miss, spread, table, rng):
+    def counted_step(cfg, expected, counts, log_miss, spread, rng):
         # each step takes the previous one's lists, which must hold Python
         # integers: a numpy scalar would slow every later step's arithmetic
         assert all(type(c) is list and all(type(x) is int for x in c) for c in counts)
         # the run always hands the phase a spread table
         assert type(spread) is np.ndarray and spread.dtype == np.float64
         rounds.append([])
+        tests.append([])
+        live = len(counts[0])
         # default_rng hands a Generator back as it is, so this counts rng's calls
         counting = CountingGenerator(rng)
-        counts = step(cfg, expected, counts, log_miss, spread, table, counting)
-        individual.append(None if expected is not None else (table, set(counting.calls)))
+        counts = step(cfg, expected, counts, log_miss, spread, counting)
+        individual.append(None if expected is not None else (live, counting.calls))
         return counts
 
     monkeypatch.setattr(harness, "_scalar_step", counted_step)
     monkeypatch.setattr(harness, "_lone_groups", lambda infected, groups, eta, rng:
                         rounds[-1].append((groups, eta)) or lone(infected, groups, eta, rng))
     monkeypatch.setattr(harness, "_singles", lambda n, good, count, rng:
-                        tests.append(count) or singles(n, good, count, rng))
+                        tests[-1].append(count) or singles(n, good, count, rng))
     return run(monkeypatch, cfg, cfg.trials), rounds, individual, tests
 
 
@@ -137,17 +140,19 @@ def test_scalar_step_is_bit_identical_to_the_array_step(monkeypatch, name):
         assert bool(wide) == (name == "hybrid-wide")
     if name == "hybrid":
         assert any({g for g, _ in step} >= {0, 2} for step in rounds)
-    tableless = [k for k in tests if (cfg.n + 1) * (k + 1) > SINGLES_TABLE_MAX_CELLS]
+    leftovers = [k for step, calls in zip(tests, individual) if calls is None for k in step]
+    tableless = [k for k in leftovers if (cfg.n + 1) * (k + 1) > SINGLES_TABLE_MAX_CELLS]
     assert bool(tableless) == (name == "hybrid-wide")
-    # every individual round draws from the one sampler the run picked: the
+    # every individual round makes one ``_singles`` call at the capacity: the
     # capacity's table, read by one call of uniforms, or numpy's
-    # hypergeometric, per trial
+    # hypergeometric, once per trial
     fits = (cfg.n + 1) * (cfg.capacity + 1) <= SINGLES_TABLE_MAX_CELLS
     assert fits == (name not in ("hybrid-wide", "individual-wide", "individual-past-table-cap"))
-    table = harness._singles_cdf(cfg.n, cfg.capacity) if fits else None
-    draw = "random" if fits else "hypergeometric"
-    picked = [round for round in individual if round is not None]
-    assert all(sampler is table and calls == {"binomial", draw} for sampler, calls in picked)
+    picked = [(step, calls) for step, calls in zip(tests, individual) if calls is not None]
+    for step, (live, calls) in picked:
+        assert step == [cfg.capacity]
+        assert calls == ({"binomial": live, "random": 1} if fits
+                         else {"binomial": live, "hypergeometric": live})
     if name.startswith("individual"):
         assert len(picked) == len(rounds)
     if cfg.trials > SCALAR_STEP_MAX:

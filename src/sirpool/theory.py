@@ -11,7 +11,7 @@ out; and a run's plan of which steps may pool, read from it
 (``round_plan``). The expressions drop correction terms that vanish only
 for large populations with weak per-pair transmission; at moderate sizes
 they are approximations of the finite-population means, not exact values
-(see the README for the measured gaps at the reference parameters).
+(``tests/test_acceptance.py`` bounds the gaps at the reference parameters).
 """
 
 from __future__ import annotations

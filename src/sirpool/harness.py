@@ -60,7 +60,8 @@ from .theory import (TheoryCurve, TheoryParams, mean_trajectory, round_plan, saf
 # Singleton tests draw from the ``_singles_cdf`` table when its
 # (n+1)*(tests+1) float64 cells fit in this many (1 MiB); larger runs keep
 # numpy's hypergeometric sampler, whose fixed cost per call the table avoids.
-# The spread table (``_spread_table``), at most n+1 cells, has the same cap.
+# A run's one spread table (``_spread_table``, sized in ``run_experiment``)
+# holds at most this many entries.
 SINGLES_TABLE_MAX_CELLS = 2 ** 17
 
 # A pooled round of g >= 2 groups of eta draws its lone-group count from the
@@ -285,19 +286,15 @@ def _singles(n: int, good: np.ndarray | list[int], tests: int,
     return rng.hypergeometric(good, n - good, tests)
 
 
-def _spread_table(n: int, log_miss: float) -> np.ndarray | None:
-    """Per infected count i = 0..n, the spread probability -expm1(i * log(1 - q)).
+def _spread_table(size: int, log_miss: float) -> np.ndarray:
+    """Per infected count i = 0..size, the spread probability -expm1(i * log(1 - q)).
 
     ``log_miss`` is log(1 - q), -inf at q = 1. Entry i is the float64
     either step would compute from i, and entry 0 is 0.0, which skips the
-    0 * -inf, NaN and warning at q = 1. None when the n + 1 entries pass
-    ``SINGLES_TABLE_MAX_CELLS`` (1 MiB); the array step then computes the
-    probability of its live counts itself. The scalar phase also calls it
-    with a smaller n, for a table of the counts it is likely to meet.
+    0 * -inf, NaN and warning at q = 1. ``run_experiment`` builds one per
+    run and picks its size.
     """
-    if n + 1 > SINGLES_TABLE_MAX_CELLS:
-        return None
-    spread = np.arange(n + 1, dtype=np.float64)
+    spread = np.arange(size + 1, dtype=np.float64)
     # in place, so building holds no array but the table
     rest = spread[1:]
     np.multiply(rest, log_miss, out=rest)
@@ -385,18 +382,17 @@ def _scalar_step(cfg: SimConfig, expected: float | None,
     The S, I and R lists it is given are updated in place and ``counts`` is
     returned. It makes the array step's draws (in ``run_experiment``) in
     the same order, one trial at a time: the spread, Binomial(S, p) per
-    trial, with p = ``spread[I]`` from the phase's ``_spread_table``, which
-    ``run_experiment`` always hands it (the array phase's table of I in
-    0..n, or one built to fit the cap), or, when some live I is past the
-    table's end, from numpy's ``-expm1(I * log(1 - q))`` over the live I,
-    the value the table holds and the array step computes (``math.expm1``
-    differs from numpy's in the last bit at some arguments), then the
-    round. At an ``expected`` of None, a round of individual tests, one
-    ``_singles`` call on the I list draws every trial's positives among the
-    capacity's singletons, as the array step's call does, and one loop moves
-    them from I to R. A pooled round makes ``_detections``' draws in
-    ``_rounds``' order, on lists, and skips an in-group draw without slots,
-    as that zero-sample draw consumes nothing.
+    trial, with p = ``spread[I]`` from the run's ``_spread_table`` or, when
+    some live I is past the table's end, from numpy's
+    ``-expm1(I * log(1 - q))`` over the live I, the value the table holds
+    and the array step computes (``math.expm1`` differs from numpy's in the
+    last bit at some arguments), then the round. At an ``expected`` of
+    None, a round of individual tests, one ``_singles`` call on the I list
+    draws every trial's positives among the capacity's singletons, as the
+    array step's call does, and one loop moves them from I to R. A pooled
+    round makes ``_detections``' draws in ``_rounds``' order, on lists, and
+    skips an in-group draw without slots, as that zero-sample draw consumes
+    nothing.
 
     numpy's array samplers run the same C routine element by element, so
     the counts and the generator's state after the step equal the array
@@ -471,15 +467,17 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     the run's ``round_plan``: a pooled round's detections (``_detections``)
     or, at None, a round of individual tests, whose Hypergeom(I, n-I,
     capacity) positives come from ``_singles``. The spread probability is
-    read from a table of -expm1(I*log(1-q)) (``_spread_table``): one for
-    every I in 0..n built once by a run that takes array steps, else one
-    the scalar phase builds for I up to twice its first largest I. Where
-    no table fits ``SINGLES_TABLE_MAX_CELLS`` or a live I passes the
-    table's end, the step computes the same float64 itself. Counts are
-    recorded after the testing phase of each step (step 0 is the freshly
-    drawn population). A trial with no circulating infections never
-    changes again, so it stops drawing, and once every trial has, the
-    remaining steps are filled.
+    read from the run's one table of -expm1(I*log(1-q)) (``_spread_table``),
+    built right after the initial draw for I in 0..min(n, reach,
+    ``SINGLES_TABLE_MAX_CELLS`` - 1): reach is n in a run of more than
+    ``SCALAR_STEP_MAX`` trials, and otherwise twice the largest initial I,
+    since such a run takes array step 0 alone, which draws nothing. An
+    array step reads the table when it reaches n, and a scalar step while
+    every live I fits it; otherwise the step computes the same float64
+    itself. Counts are recorded after the testing phase of each step (step
+    0 is the freshly drawn population). A trial with no circulating
+    infections never changes again, so it stops drawing, and once every
+    trial has, the remaining steps are filled.
 
     Each step's counts wait in a (3, block, trials) buffer, block being
     min(horizon + 1, max(1, ``AGGREGATE_BLOCK_CELLS`` // trials)), and a
@@ -518,8 +516,6 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     rng = np.random.default_rng(cfg.seed)
     log_miss = math.log1p(-cfg.q) if cfg.q < 1.0 else -math.inf
     plan = round_plan(curve, cfg.policy)
-    # a run of few trials takes array step 0 alone, which draws nothing
-    spread = _spread_table(cfg.n, log_miss) if cfg.trials > SCALAR_STEP_MAX else None
     steps = cfg.horizon + 1
     total = np.zeros((3, steps), dtype=np.int64)
     square_dev = np.zeros((3, steps))
@@ -532,6 +528,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
     censored = np.ones(cfg.trials, dtype=bool)
 
     infected = rng.binomial(cfg.n, cfg.p, size=cfg.trials)
+    reach = cfg.n if cfg.trials > SCALAR_STEP_MAX else 2 * int(infected.max())
+    spread = _spread_table(min(cfg.n, reach, SINGLES_TABLE_MAX_CELLS - 1), log_miss)
     # every trial's counts, live trials first in their original order; a
     # cleared trial's column keeps its final counts
     latest = np.stack([cfg.n - infected, infected, np.zeros_like(infected)])
@@ -548,8 +546,8 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             _aggregate(buffer, total[:, start:t], square_dev[:, start:t])
             start = t
         if t:
-            new = rng.binomial(susceptible, -np.expm1(infected * log_miss) if spread is None
-                               else spread[infected])
+            new = rng.binomial(susceptible, spread[infected] if spread.size > cfg.n
+                               else -np.expm1(infected * log_miss))
             susceptible -= new
             infected += new
             found = (_singles(cfg.n, infected, cfg.capacity, rng) if plan[t] is None
@@ -563,13 +561,6 @@ def run_experiment(cfg: SimConfig) -> TrajectoryStats:
             susceptible, infected, isolated = counts
         t += 1
     counts = counts.tolist()
-    if spread is None and live and t < steps:
-        # a run of few trials, or past the cap: a table up to twice the
-        # largest live I trades one build for an np.expm1 call per step; its
-        # last timing is CHANGES.md's entry "the scalar phase reads a
-        # per-run spread table"
-        spread = _spread_table(min(cfg.n, 2 * max(counts[1]), SINGLES_TABLE_MAX_CELLS - 1),
-                               log_miss)
     # the live S, I and R of steps first..t, one step after another, until
     # the buffer takes them
     rows, first = array("q"), t

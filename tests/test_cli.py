@@ -63,6 +63,21 @@ class TestMain:
         assert exc.value.code != 0
         assert "cannot write --csv" in capsys.readouterr().err
 
+    def test_read_only_directory_fails_before_running(self, tmp_path, capsys, monkeypatch):
+        # root may write anywhere, so the access check itself is made to refuse
+        checked = []
+        monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: checked.append((path, mode)))
+        out = tmp_path / "x.csv"
+        directory = os.path.realpath(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(FAST + ["--csv", str(out)])
+        assert exc.value.code == 2
+        assert checked == [(directory, os.W_OK | os.X_OK)]
+        assert (f"cannot write --csv {out}: directory {directory} is not writable"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("make, kind, problem", [
         (os.mkdir, stat.S_ISDIR, "it is a directory"),
         (os.mkfifo, stat.S_ISFIFO, "it is not a regular file"),

@@ -626,14 +626,13 @@ class TestSpreadTable:
         return run_experiment(cfg), built
 
     @staticmethod
-    def per_step(cfg):
+    def per_step(*args):
         """A ``_spread_table`` stand-in under which every step computes its probabilities.
 
-        The array phase's call gets None, and the scalar phase's an empty
-        table, whose end every live I passes.
+        Its empty table reaches no n, so every array step computes them,
+        and every live I passes its end, so every scalar step does too.
         """
-        array_phase = iter([None] if cfg.trials > harness.SCALAR_STEP_MAX else [])
-        return lambda *args: next(array_phase, np.empty(0))
+        return np.empty(0)
 
     @pytest.mark.parametrize("q", QS, ids=QS_IDS)
     def test_entries_are_the_per_step_expression(self, q):
@@ -650,16 +649,16 @@ class TestSpreadTable:
     @pytest.mark.parametrize("trials", [1, 2, SCALAR_STEP_MAX, 40])
     def test_table_path_matches_the_per_step_path(self, monkeypatch, policy, q, trials):
         # up to SCALAR_STEP_MAX trials every step after step 0 is a scalar
-        # step, which reads its phase's table per live trial or, past the
+        # step, which reads the run's table per live trial or, past the
         # table's end, calls np.expm1; at q = 1 the live I pass that end
         cfg = SimConfig(n=1000, capacity=30, q=q, horizon=150, trials=trials, seed=3,
                         policy=policy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tabled, built = self.run_counting(monkeypatch, cfg)
-            per_step, forced = self.run_counting(monkeypatch, cfg, self.per_step(cfg))
+            per_step, forced = self.run_counting(monkeypatch, cfg, self.per_step)
         assert len(built) == 1 and built[0].shape[0] <= cfg.n + 1
-        assert forced and all(table is None or not table.size for table in forced)
+        assert len(forced) == 1 and not forced[0].size
         if trials > SCALAR_STEP_MAX:
             assert built[0].shape == (cfg.n + 1,)
             # more than SCALAR_STEP_MAX trials are live after step 1, so step 2 is an array
@@ -668,32 +667,36 @@ class TestSpreadTable:
         assert_same_arrays(tabled, per_step)
 
     def test_population_past_the_cap_computes_per_step(self, monkeypatch):
-        # n + 1 float64 pass SINGLES_TABLE_MAX_CELLS, so every array step
-        # computes its probabilities; a table built past the cap must agree
+        # n + 1 float64 pass SINGLES_TABLE_MAX_CELLS, so the run's table
+        # stops short of n and every array step computes its probabilities;
+        # a table of every I in 0..n, built past the cap, must agree
         cfg = SimConfig(n=SINGLES_TABLE_MAX_CELLS, capacity=30, q=1e-7, horizon=6,
                         trials=SCALAR_STEP_MAX + 1, seed=2)
         per_step, built = self.run_counting(monkeypatch, cfg)
-        assert built == [None]
+        assert len(built) == 1 and built[0].shape == (SINGLES_TABLE_MAX_CELLS,)
+        assert built[0].shape[0] < cfg.n + 1
         assert per_step.control_censored.all()
 
-        def uncapped(n, miss):
-            table = -np.expm1(np.arange(n + 1) * miss)
+        def uncapped(size, miss):
+            table = -np.expm1(np.arange(cfg.n + 1) * miss)
             table[0] = 0.0
             return table
 
         tabled, _ = self.run_counting(monkeypatch, cfg, uncapped)
         assert_same_arrays(per_step, tabled)
 
-    @pytest.mark.parametrize("n", [1000, 100_000])
-    @pytest.mark.parametrize("trials", [1, SCALAR_STEP_MAX, SCALAR_STEP_MAX + 1])
+    @pytest.mark.parametrize("trials, n", [
+        (trials, n) for trials in (1, SCALAR_STEP_MAX, SCALAR_STEP_MAX + 1)
+        for n in (1000, 100_000)] + [(SCALAR_STEP_MAX + 1, 140_000)])
     def test_every_run_builds_one_table(self, monkeypatch, n, trials):
-        # a run of array steps builds the whole table, which its scalar
-        # phase reads too; a run of few trials takes array step 0 only, and
-        # its scalar phase builds the table up to twice the largest I drawn
+        # a run of array steps builds the whole table up to the cap, which
+        # its scalar phase reads too; a run of few trials takes array step 0
+        # only, and its table reaches twice the largest I drawn
         cfg = SimConfig(n=n, capacity=30, q=1e-7, horizon=20, trials=trials, seed=4)
         _, built = self.run_counting(monkeypatch, cfg)
         drawn = np.random.default_rng(cfg.seed).binomial(cfg.n, cfg.p, size=cfg.trials)
-        size = n if trials > SCALAR_STEP_MAX else min(n, 2 * int(drawn.max()))
+        reach = n if trials > SCALAR_STEP_MAX else 2 * int(drawn.max())
+        size = min(n, reach, SINGLES_TABLE_MAX_CELLS - 1)
         assert len(built) == 1 and built[0].shape == (size + 1,)
 
     def test_scalar_step_reads_the_table_while_every_count_fits(self):
@@ -713,7 +716,7 @@ class TestSpreadTable:
         # without a table does
         cfg = SimConfig(n=1000, capacity=30, q=0.5, horizon=20, trials=1, seed=4)
         tabled, built = self.run_counting(monkeypatch, cfg)
-        per_step, _ = self.run_counting(monkeypatch, cfg, self.per_step(cfg))
+        per_step, _ = self.run_counting(monkeypatch, cfg, self.per_step)
         assert built[0].shape[0] - 1 < tabled.mean_infected.max()
         assert_same_arrays(tabled, per_step)
 

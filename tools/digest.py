@@ -2,7 +2,7 @@
 
 Four sets of runs, each stated below:
 
-- ``run_experiment`` on 77 configs (``EXPERIMENTS``): every
+- ``run_experiment`` on 81 configs (``EXPERIMENTS``): every
   ``TrajectoryStats`` array, its theory curve's included;
 - ``mean_trajectory`` and ``round_plan`` on 240 ``TheoryParams`` configs
   (``THEORY``) under both policies at horizons 0, 1 and 500; a plan is
@@ -74,6 +74,12 @@ def _experiments() -> list[dict]:
     # samplers alone (10)
     configs.append(dict(n=3000, capacity=90, q=3.3e-6, p=0.2, horizon=500,
                         policy="saffron-hybrid", trials=30, seed=11))
+    # n + 1 past the spread table's 2^17 entries, with array steps: they
+    # compute the spread per step, and their individual rounds, past the
+    # singles table's cap, call numpy's sampler on arrays
+    configs += [dict(n=140_000, capacity=70_000, q=1e-8, p=0.2, horizon=40, policy=policy,
+                     trials=trials, seed=11)
+                for policy in POLICIES for trials in (12, 30)]
     return configs
 
 
